@@ -145,7 +145,6 @@ struct Served {
         "--models=default=" + model_path,
         "--datasets=default=" + dataset_path,
         "--port=" + std::to_string(port),
-        "--journal=0",
         "--workers=" + std::to_string(workers),
     };
     Served s;
@@ -454,7 +453,7 @@ int Main(int argc, char** argv) {
 
     const auto fail_out = [&](const char* why) {
       std::fprintf(stderr, "FAIL: %s\n", why);
-      RequestServer::RequestShutdown();
+      LineServer::RequestShutdown();
       serve_thread.join();
       std::remove(model_path.c_str());
       std::remove(dataset_path.c_str());
@@ -552,7 +551,7 @@ int Main(int argc, char** argv) {
     res.loris_p99_us = loris_p99_sum / reps;
     res.loris_p99_over_hot = res.loris_p99_us / std::max(res.hot_p99_us, 1e-12);
 
-    RequestServer::RequestShutdown();
+    LineServer::RequestShutdown();
     serve_thread.join();
   }
 

@@ -14,9 +14,9 @@
 // TCP loop: one thread accepts one connection at a time and serves it to
 // completion — every other client waits in the backlog — writing every
 // reply with its own write(2) and never touching TCP_NODELAY. The pooled
-// side is RequestServer::RunTcpLoop: listener + --workers shared-nothing
-// worker threads behind a bounded accept queue, replies batched into one
-// write per pipelined burst.
+// side is RequestServer::RunTcpLoop: the epoll IO thread + --workers
+// shared-nothing worker threads behind a bounded dispatch queue, replies
+// batched into one write per pipelined burst.
 //
 // Both sides serve the *same* RequestServer request handler over the
 // same mmapped model, driven by the same load generator (C clients, each

@@ -133,7 +133,6 @@ struct Replica {
         "--models=default=" + model_path,
         "--datasets=default=" + dataset_path,
         "--port=" + std::to_string(port),
-        "--journal=0",
         "--workers=" + std::to_string(workers),
     };
     Replica r;

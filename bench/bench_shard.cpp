@@ -204,7 +204,6 @@ int Main(int argc, char** argv) {
   OCULAR_CHECK(registry.Load("default", manifest_path, empty_train).ok());
   RequestServer::Options server_options;
   server_options.num_workers = workers;
-  server_options.update_journal = false;
   RequestServer server(&registry, server_options);
   std::thread server_thread(
       [&server] { OCULAR_CHECK(server.RunTcpLoop(0, 0).ok()); });
@@ -252,7 +251,7 @@ int Main(int argc, char** argv) {
     res.update_publish_ms = publish_sum / std::max(update_reps, 1u);
   }
 
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   server_thread.join();
   std::remove(mono_path.c_str());
   // Leave no shardset members behind either.

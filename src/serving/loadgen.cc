@@ -197,7 +197,7 @@ void RunClient(const LoadGenOptions& options, uint32_t client_index,
         batch_done = true;
         continue;
       }
-      // Either the server 503'd this connection (accept queue full — it
+      // Either the server 503'd this connection (shed at admission — it
       // answered without reading a single request) or, in fleet mode, the
       // connection simply died mid-batch (a proxy or replica restarting
       // under it). Both leave the whole batch outstanding: roll back,

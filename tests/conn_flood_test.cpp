@@ -1,12 +1,14 @@
-// Connection-core stress tests for the event-driven (epoll) daemon: an
-// idle keep-alive flood that must be held with zero sheds while bursty
-// traffic rides through, a slowloris swarm the 408 reaper must cut
-// loose, never-reading consumers the slow-consumer policy must
-// disconnect, and fork/exec drills for fd exhaustion (EMFILE under a
-// lowered RLIMIT_NOFILE — the reserve-fd parachute must keep shedding
-// with clean 503s) and SIGKILL mid-flood (a restart on the same port
-// must serve, bit-identical). The CI conn-chaos job runs this binary
-// under AddressSanitizer.
+// Connection-core stress tests for the shared epoll transport, run
+// against both servers built on it — the daemon and the fleet front tier
+// (over an in-process replica): an idle keep-alive flood that must be
+// held with zero sheds while bursty traffic rides through, idle clients
+// that must never delay a new one, a slowloris swarm the 408 reaper must
+// cut loose, never-reading consumers the slow-consumer policy must
+// disconnect, the 413 request-line cap, and fork/exec drills for fd
+// exhaustion (EMFILE under a lowered RLIMIT_NOFILE — the reserve-fd
+// parachute must keep shedding with clean 503s) and SIGKILL mid-flood (a
+// restart on the same port must serve, bit-identical). The CI conn-chaos
+// job runs this binary under AddressSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +34,7 @@
 #include "core/ocular_recommender.h"
 #include "serving/batch.h"
 #include "serving/daemon.h"
+#include "serving/fleet.h"
 #include "serving/journal.h"
 #include "serving/loadgen.h"
 #include "serving/net_util.h"
@@ -40,6 +43,9 @@
 
 #ifndef OCULAR_SERVED_PATH
 #define OCULAR_SERVED_PATH "ocular_served"
+#endif
+#ifndef OCULAR_FLEET_PATH
+#define OCULAR_FLEET_PATH "ocular_fleet"
 #endif
 
 // fork() drills and ThreadSanitizer do not mix; the in-process flood,
@@ -119,16 +125,6 @@ struct RawClient {
   }
 };
 
-uint16_t WaitForPort(const RequestServer& server, std::thread* serve_thread) {
-  for (int ms = 0; ms < 10000; ++ms) {
-    const uint16_t port = server.bound_port();
-    if (port != 0) return port;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  if (serve_thread->joinable()) serve_thread->join();
-  return 0;
-}
-
 /// One `stats` counter read over an already-established connection (the
 /// EMFILE drill cannot open a new one).
 double StatOver(RawClient* c, const std::string& key) {
@@ -141,20 +137,94 @@ double StatOver(RawClient* c, const std::string& key) {
   return value == nullptr ? -1.0 : value->number();
 }
 
-TEST(ConnFloodTest, IdleFloodIsHeldWithZeroShedsWhileBurstsServe) {
-  DaemonFixture f = DaemonFixture::Make("flood_idle.oclr");
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
-  RequestServer::Options options;
-  options.num_workers = 2;
-  options.io_timeout_ms = 100;
-  options.idle_timeout_ms = 0;  // idle keep-alive is the point, not abuse
-  RequestServer server(&registry, options);
+/// Which server on the shared transport a drill runs against.
+enum class ServerKind { kDaemon, kFleet };
 
-  std::thread serve_thread([&server] {
-    EXPECT_TRUE(server.RunTcpLoop(0, 0).ok());
-  });
-  const uint16_t port = WaitForPort(server, &serve_thread);
+std::string KindName(const ::testing::TestParamInfo<ServerKind>& info) {
+  return info.param == ServerKind::kDaemon ? "Daemon" : "Fleet";
+}
+
+template <typename Server>
+uint16_t WaitForBoundPort(const Server& server) {
+  for (int ms = 0; ms < 10000; ++ms) {
+    const uint16_t port = server.bound_port();
+    if (port != 0) return port;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return 0;
+}
+
+/// The server under test as its clients see it: the daemon itself, or
+/// the fleet front tier forwarding to one in-process replica of the same
+/// model. `limits` and `workers` configure the front server's transport.
+class FrontServer {
+ public:
+  FrontServer(ServerKind kind, const DaemonFixture& f, size_t workers,
+              const LineServerOptions& limits) {
+    EXPECT_TRUE(registry_.Load("default", f.model_path, f.shared_train()).ok());
+    RequestServer::Options daemon_options;
+    daemon_options.num_workers = 2;
+    daemon_options.io_timeout_ms = 100;
+    if (kind == ServerKind::kDaemon) {
+      static_cast<LineServerOptions&>(daemon_options) = limits;
+      daemon_options.num_workers = workers;
+    }
+    daemon_ = std::make_unique<RequestServer>(&registry_, daemon_options);
+    daemon_thread_ =
+        std::thread([this] { EXPECT_TRUE(daemon_->RunTcpLoop(0, 0).ok()); });
+    const uint16_t daemon_port = WaitForBoundPort(*daemon_);
+    if (kind == ServerKind::kDaemon) {
+      port_ = daemon_port;
+      return;
+    }
+    FleetServer::Options fleet_options;
+    static_cast<LineServerOptions&>(fleet_options) = limits;
+    fleet_options.replicas = {daemon_port};
+    fleet_options.num_workers = workers;
+    fleet_ = std::make_unique<FleetServer>(fleet_options);
+    fleet_thread_ =
+        std::thread([this] { EXPECT_TRUE(fleet_->RunLoop(0, 0).ok()); });
+    port_ = WaitForBoundPort(*fleet_);
+  }
+
+  ~FrontServer() { Finish(); }
+
+  uint16_t port() const { return port_; }
+
+  /// Drains the front server (then the replica behind a fleet) and
+  /// returns the front's transport counters.
+  ConnectionStats Finish() {
+    if (fleet_thread_.joinable()) {
+      fleet_->Stop();
+      fleet_thread_.join();
+    }
+    if (daemon_thread_.joinable()) {
+      LineServer::RequestShutdown();
+      daemon_thread_.join();
+      EXPECT_FALSE(LineServer::ShutdownRequested());
+    }
+    if (fleet_ != nullptr) return fleet_->Stats();
+    return daemon_->Stats();
+  }
+
+ private:
+  ModelRegistry registry_;
+  std::unique_ptr<RequestServer> daemon_;  // the replica behind a fleet
+  std::thread daemon_thread_;
+  std::unique_ptr<FleetServer> fleet_;
+  std::thread fleet_thread_;
+  uint16_t port_ = 0;
+};
+
+class ConnFloodTest : public ::testing::TestWithParam<ServerKind> {};
+
+TEST_P(ConnFloodTest, IdleFloodIsHeldWithZeroShedsWhileBurstsServe) {
+  DaemonFixture f = DaemonFixture::Make("flood_idle.oclr");
+  LineServerOptions limits;
+  limits.io_timeout_ms = 100;
+  limits.idle_timeout_ms = 0;  // idle keep-alive is the point, not abuse
+  FrontServer server(GetParam(), f, 2, limits);
+  const uint16_t port = server.port();
   ASSERT_NE(port, 0);
 
   // The exact-gauge check first, while the connection count is small and
@@ -189,10 +259,7 @@ TEST(ConnFloodTest, IdleFloodIsHeldWithZeroShedsWhileBurstsServe) {
   EXPECT_EQ(result->burst_ok, 400u);
   EXPECT_EQ(result->burst_errors, 0u);
 
-  RequestServer::RequestShutdown();
-  serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
-  const DaemonStatsSnapshot stats = server.Stats();
+  const ConnectionStats stats = server.Finish();
   EXPECT_EQ(stats.connections_shed, 0u);
   EXPECT_EQ(stats.connections_slow_closed, 0u);
   EXPECT_EQ(stats.accept_emfile, 0u);
@@ -200,20 +267,61 @@ TEST(ConnFloodTest, IdleFloodIsHeldWithZeroShedsWhileBurstsServe) {
   f.Cleanup();
 }
 
-TEST(ConnFloodTest, SlowlorisSwarmIsReapedWhileHotTrafficServes) {
-  DaemonFixture f = DaemonFixture::Make("flood_loris.oclr");
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
-  RequestServer::Options options;
-  options.num_workers = 1;
-  options.io_timeout_ms = 50;    // the reaper's sweep tick
-  options.idle_timeout_ms = 200;  // dribblers die fast, bursts never idle
-  RequestServer server(&registry, options);
+/// Milliseconds a fresh connection waits for its `ping` reply (the verb
+/// both servers answer themselves), or -1 if none came within 2 s.
+double PingMs(uint16_t port) {
+  RawClient c;
+  if (!c.Connect(port)) return -1.0;
+  struct timeval tv;
+  tv.tv_sec = 2;
+  tv.tv_usec = 0;
+  ::setsockopt(c.fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  const auto start = std::chrono::steady_clock::now();
+  std::string line;
+  const bool answered = c.Send(R"({"cmd":"ping"})") && c.ReadLine(&line);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  c.Close();
+  if (!answered) return -1.0;
+  auto parsed = JsonValue::Parse(line);
+  if (!parsed.ok() || !parsed->Find("ok")->boolean()) return -1.0;
+  return ms;
+}
 
-  std::thread serve_thread([&server] {
-    EXPECT_TRUE(server.RunTcpLoop(0, 0).ok());
-  });
-  const uint16_t port = WaitForPort(server, &serve_thread);
+// The front-tier regression: with one client connection pinned to each
+// worker, as many idle keep-alive clients as workers left every further
+// client unanswered until one of them hung up.
+TEST_P(ConnFloodTest, IdleKeepAliveClientsNeverDelayANewClient) {
+  DaemonFixture f = DaemonFixture::Make("flood_pinned.oclr");
+  LineServerOptions limits;
+  limits.io_timeout_ms = 100;
+  limits.idle_timeout_ms = 0;
+  FrontServer server(GetParam(), f, 2, limits);
+  const uint16_t port = server.port();
+  ASSERT_NE(port, 0);
+
+  std::vector<RawClient> idle(300);
+  for (const size_t held : {size_t{2}, idle.size()}) {
+    for (size_t i = 0; i < held; ++i) {
+      if (idle[i].fd < 0) ASSERT_TRUE(idle[i].Connect(port));
+    }
+    const double ms = PingMs(port);
+    EXPECT_GE(ms, 0.0) << "no ping reply with " << held << " idle clients";
+    EXPECT_LT(ms, 500.0) << "with " << held << " idle clients";
+  }
+  for (RawClient& c : idle) c.Close();
+  EXPECT_EQ(server.Finish().connections_shed, 0u);
+  f.Cleanup();
+}
+
+TEST_P(ConnFloodTest, SlowlorisSwarmIsReapedWhileHotTrafficServes) {
+  DaemonFixture f = DaemonFixture::Make("flood_loris.oclr");
+  LineServerOptions limits;
+  limits.io_timeout_ms = 50;     // the reaper's sweep tick
+  limits.idle_timeout_ms = 200;  // dribblers die fast, bursts never idle
+  FrontServer server(GetParam(), f, 1, limits);
+  const uint16_t port = server.port();
   ASSERT_NE(port, 0);
 
   // 20 dribblers writing one byte at a time never complete a request, so
@@ -237,33 +345,23 @@ TEST(ConnFloodTest, SlowlorisSwarmIsReapedWhileHotTrafficServes) {
   EXPECT_GE(result->slow_writers_reaped, 1u)
       << "the server never cut a dribbler loose";
 
-  RequestServer::RequestShutdown();
-  serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
-  const DaemonStatsSnapshot stats = server.Stats();
+  const ConnectionStats stats = server.Finish();
   EXPECT_EQ(stats.connections_timed_out, 20u)
       << "every slowloris connection must be 408-reaped";
   EXPECT_EQ(stats.connections_shed, 0u);
   f.Cleanup();
 }
 
-TEST(ConnFloodTest, NeverReadingConsumersAreDisconnectedIdleFleetSurvives) {
+TEST_P(ConnFloodTest, NeverReadingConsumersAreDisconnectedIdleFleetSurvives) {
   DaemonFixture f = DaemonFixture::Make("flood_mute.oclr");
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
-  RequestServer::Options options;
-  options.num_workers = 1;
-  options.io_timeout_ms = 50;
-  options.idle_timeout_ms = 0;
+  LineServerOptions limits;
+  limits.io_timeout_ms = 50;
+  limits.idle_timeout_ms = 0;
   // A small outbound bound so the drill does not need to out-write the
   // kernel's 4 MB autotuned send buffer per abuser to build a backlog.
-  options.max_outbound_bytes = 16 << 10;
-  RequestServer server(&registry, options);
-
-  std::thread serve_thread([&server] {
-    EXPECT_TRUE(server.RunTcpLoop(0, 0).ok());
-  });
-  const uint16_t port = WaitForPort(server, &serve_thread);
+  limits.max_outbound_bytes = 16 << 10;
+  FrontServer server(GetParam(), f, 1, limits);
+  const uint16_t port = server.port();
   ASSERT_NE(port, 0);
 
   // Two consumers pipeline ~6 MB of replies and never read a byte; the
@@ -287,15 +385,57 @@ TEST(ConnFloodTest, NeverReadingConsumersAreDisconnectedIdleFleetSurvives) {
   EXPECT_EQ(result->never_readers_closed, 2u)
       << "the slow-consumer policy must disconnect both mute consumers";
 
-  RequestServer::RequestShutdown();
-  serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
-  const DaemonStatsSnapshot stats = server.Stats();
+  const ConnectionStats stats = server.Finish();
   EXPECT_EQ(stats.connections_slow_closed, 2u);
   EXPECT_EQ(stats.connections_shed, 0u);
   EXPECT_GT(stats.peak_outbound_bytes, uint64_t{16} << 10);
   f.Cleanup();
 }
+
+TEST_P(ConnFloodTest, OversizeRequestLineGets413AndServingContinues) {
+  DaemonFixture f = DaemonFixture::Make("flood_oversize.oclr");
+  LineServerOptions limits;  // max_request_bytes = 1 MiB
+  limits.io_timeout_ms = 100;
+  FrontServer server(GetParam(), f, 1, limits);
+  const uint16_t port = server.port();
+  ASSERT_NE(port, 0);
+
+  {
+    RawClient c;
+    ASSERT_TRUE(c.Connect(port));
+    const std::string chunk(256 << 10, 'x');  // newline-free
+    for (int i = 0; i < 5; ++i) {             // 1.25 MiB
+      ASSERT_TRUE(net::SendAll(c.fd, chunk.data(), chunk.size()));
+    }
+    std::string line;
+    ASSERT_TRUE(c.ReadLine(&line)) << "oversize line must get a reply";
+    auto parsed = JsonValue::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    EXPECT_FALSE(parsed->Find("ok")->boolean());
+    ASSERT_NE(parsed->Find("code"), nullptr);
+    EXPECT_EQ(parsed->Find("code")->number(), 413.0);
+    EXPECT_FALSE(c.ReadLine(&line)) << "oversize connection must be closed";
+    c.Close();
+  }
+  {
+    RawClient c;
+    ASSERT_TRUE(c.Connect(port));
+    ASSERT_TRUE(c.Send(R"({"cmd":"recommend","user":3,"m":4})"));
+    std::string line;
+    ASSERT_TRUE(c.ReadLine(&line));
+    auto parsed = JsonValue::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    EXPECT_TRUE(parsed->Find("ok")->boolean()) << line;
+    c.Close();
+  }
+  server.Finish();
+  f.Cleanup();
+}
+
+INSTANTIATE_TEST_SUITE_P(Servers, ConnFloodTest,
+                         ::testing::Values(ServerKind::kDaemon,
+                                           ServerKind::kFleet),
+                         KindName);
 
 // ------------------------------------------------ fork/exec chaos drills
 
@@ -323,8 +463,9 @@ uint16_t FreePort() {
   return port;
 }
 
-/// The real daemon binary as a child, optionally under a lowered
-/// RLIMIT_NOFILE (the fd-exhaustion drill), stderr captured to a file.
+/// A real server binary (the daemon unless `binary` says otherwise) as a
+/// child, optionally under a lowered RLIMIT_NOFILE (the fd-exhaustion
+/// drill), stderr captured to a file.
 struct ServedProcess {
   pid_t pid = -1;
   std::string stderr_path;
@@ -350,7 +491,8 @@ struct ServedProcess {
 
   static ServedProcess Start(const std::vector<std::string>& args,
                              const std::string& stderr_path,
-                             rlim_t nofile_limit = 0) {
+                             rlim_t nofile_limit = 0,
+                             const char* binary = OCULAR_SERVED_PATH) {
     ServedProcess p;
     p.stderr_path = stderr_path;
     p.pid = ::fork();
@@ -374,12 +516,12 @@ struct ServedProcess {
         ::close(null);
       }
       std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(OCULAR_SERVED_PATH));
+      argv.push_back(const_cast<char*>(binary));
       for (const std::string& a : args) {
         argv.push_back(const_cast<char*>(a.c_str()));
       }
       argv.push_back(nullptr);
-      ::execv(OCULAR_SERVED_PATH, argv.data());
+      ::execv(binary, argv.data());
       ::_exit(127);
     }
     return p;
@@ -433,28 +575,47 @@ void WriteDataset(const CsrMatrix& train, const std::string& path) {
   for (auto [u, i] : train.ToPairs()) out << u << '\t' << i << '\n';
 }
 
-TEST(ConnChaosTest, FdExhaustionShedsWith503AndKeepsServing) {
+class ConnChaosTest : public ::testing::TestWithParam<ServerKind> {};
+
+TEST_P(ConnChaosTest, FdExhaustionShedsWith503AndKeepsServing) {
   DaemonFixture f = DaemonFixture::Make("flood_emfile.oclr");
   const std::string dataset_path = TempPath("flood_emfile.tsv");
   WriteDataset(f.train, dataset_path);
   const uint16_t port = FreePort();
   ASSERT_NE(port, 0);
+  const std::vector<std::string> model_args = {
+      "--models=default=" + f.model_path,
+      "--datasets=default=" + dataset_path,
+  };
 
-  // 40 fds total for the child: after stdio, listener, epoll, eventfd,
-  // the reserve fd, and the model mapping, a few dozen connections
-  // exhaust the table — the parachute must shed the overflow with real
-  // 503 replies instead of leaving SYNs to rot in the backlog.
-  ServedProcess served = ServedProcess::Start(
-      {
-          "--models=default=" + f.model_path,
-          "--datasets=default=" + dataset_path,
-          "--port=" + std::to_string(port),
-          "--workers=1",
-          "--io-timeout-ms=100",
-          "--idle-timeout-ms=0",
-          "--journal=0",
-      },
-      TempPath("flood_emfile_stderr.log"), /*nofile_limit=*/40);
+  // 40 fds total for the server under test: after stdio, listener, epoll,
+  // eventfd, the reserve fd, and the model mapping (a fleet: its backend
+  // sockets), a few dozen connections exhaust the table — the parachute
+  // must shed the overflow with real 503 replies instead of leaving SYNs
+  // to rot in the backlog.
+  ServedProcess replica;
+  ServedProcess served;
+  if (GetParam() == ServerKind::kDaemon) {
+    std::vector<std::string> args = model_args;
+    args.insert(args.end(), {"--port=" + std::to_string(port), "--workers=1",
+                             "--io-timeout-ms=100", "--idle-timeout-ms=0"});
+    served = ServedProcess::Start(args, TempPath("flood_emfile_stderr.log"),
+                                  /*nofile_limit=*/40);
+  } else {
+    const uint16_t replica_port = FreePort();
+    ASSERT_NE(replica_port, 0);
+    std::vector<std::string> args = model_args;
+    args.insert(args.end(),
+                {"--port=" + std::to_string(replica_port), "--workers=1"});
+    replica = ServedProcess::Start(args, TempPath("flood_emfile_replica.log"));
+    ASSERT_TRUE(WaitForServing(replica_port, &replica));
+    served = ServedProcess::Start(
+        {"--port=" + std::to_string(port),
+         "--replicas=" + std::to_string(replica_port), "--workers=1",
+         "--io-timeout-ms=100"},
+        TempPath("flood_emfile_stderr.log"), /*nofile_limit=*/40,
+        OCULAR_FLEET_PATH);
+  }
   ASSERT_TRUE(WaitForServing(port, &served));
 
   RawClient healthy;
@@ -508,11 +669,12 @@ TEST(ConnChaosTest, FdExhaustionShedsWith503AndKeepsServing) {
   healthy.Close();
   for (RawClient& c : fillers) c.Close();
   served.KillHard();
+  replica.KillHard();
   std::remove(dataset_path.c_str());
   f.Cleanup();
 }
 
-TEST(ConnChaosTest, SigkillMidFloodThenRestartServesBitIdentically) {
+TEST(ConnKillTest, SigkillMidFloodThenRestartServesBitIdentically) {
   DaemonFixture f = DaemonFixture::Make("flood_kill.oclr");
   const std::string dataset_path = TempPath("flood_kill.tsv");
   WriteDataset(f.train, dataset_path);
@@ -526,7 +688,6 @@ TEST(ConnChaosTest, SigkillMidFloodThenRestartServesBitIdentically) {
         "--workers=2",
         "--io-timeout-ms=100",
         "--idle-timeout-ms=0",
-        "--journal=0",
     };
   };
   auto served = std::make_unique<ServedProcess>(ServedProcess::Start(
@@ -576,6 +737,11 @@ TEST(ConnChaosTest, SigkillMidFloodThenRestartServesBitIdentically) {
   std::remove(dataset_path.c_str());
   f.Cleanup();
 }
+
+INSTANTIATE_TEST_SUITE_P(Servers, ConnChaosTest,
+                         ::testing::Values(ServerKind::kDaemon,
+                                           ServerKind::kFleet),
+                         KindName);
 
 #endif  // OCULAR_TSAN
 

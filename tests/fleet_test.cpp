@@ -311,6 +311,12 @@ TEST(FleetStatsTest, RenderCarriesEveryCounterAndReplicaRow) {
   s.probes_sent = 500;
   s.probe_failures = 9;
   s.connections_shed = 1;
+  s.connections_timed_out = 4;
+  s.connections_open = 17;
+  s.connections_capped = 1;
+  s.connections_slow_closed = 5;
+  s.accept_emfile = 6;
+  s.peak_outbound_bytes = 65536;
   FleetReplicaStats a;
   a.port = 7001;
   a.state = ReplicaState::kHealthy;
@@ -340,7 +346,14 @@ TEST(FleetStatsTest, RenderCarriesEveryCounterAndReplicaRow) {
   EXPECT_EQ(parsed->Find("rejected_verbs")->number(), 2.0);
   EXPECT_EQ(parsed->Find("probes_sent")->number(), 500.0);
   EXPECT_EQ(parsed->Find("probe_failures")->number(), 9.0);
+  // The transport counters, under the daemon's `stats` names.
   EXPECT_EQ(parsed->Find("connections_shed")->number(), 1.0);
+  EXPECT_EQ(parsed->Find("connections_timed_out")->number(), 4.0);
+  EXPECT_EQ(parsed->Find("connections_open")->number(), 17.0);
+  EXPECT_EQ(parsed->Find("connections_capped")->number(), 1.0);
+  EXPECT_EQ(parsed->Find("connections_slow_closed")->number(), 5.0);
+  EXPECT_EQ(parsed->Find("accept_emfile")->number(), 6.0);
+  EXPECT_EQ(parsed->Find("peak_outbound_bytes")->number(), 65536.0);
   EXPECT_EQ(parsed->Find("ejections")->number(), 2.0);
   EXPECT_EQ(parsed->Find("readmissions")->number(), 1.0);
   const auto& replicas = parsed->Find("replicas")->array();
@@ -483,7 +496,6 @@ struct InProcessReplica {
     RequestServer::Options options;
     options.num_workers = 2;
     options.io_timeout_ms = 100;
-    options.update_journal = false;
     server = std::make_unique<RequestServer>(&registry, options);
     thread = std::thread([this] {
       EXPECT_TRUE(server->RunTcpLoop(0, 0).ok());
@@ -496,13 +508,12 @@ struct InProcessReplica {
     return false;
   }
 
-  /// The shutdown latch is process-global: one RequestShutdown can stop
-  /// every in-process loop that observes it before anyone consumes it, so
-  /// callers must ConsumeShutdownRequest() after the last Drain or the
-  /// leftover latch kills the next test's server on arrival.
+  /// Stops this replica only. The process-global SIGTERM latch would be
+  /// consumed by whichever replica's loop drains first, leaving the other
+  /// serving forever.
   void Drain() {
     if (!thread.joinable()) return;
-    RequestServer::RequestShutdown();
+    server->Stop();
     thread.join();
   }
 };
@@ -625,8 +636,7 @@ TEST(FleetServerTest, FrontTierVerbsAndBitIdenticalForwarding) {
   fleet_thread.join();
   replicas[0].Drain();
   replicas[1].Drain();
-  RequestServer::ConsumeShutdownRequest();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   f.Cleanup();
 }
 
@@ -843,7 +853,6 @@ std::vector<std::string> ReplicaArgs(const DaemonFixture& f,
       "--datasets=default=" + dataset_path,
       "--port=" + std::to_string(port),
       "--io-timeout-ms=100",
-      "--journal=0",  // replicas share the artifact; no journal races
       // The epoll core multiplexes every connection on one IO thread:
       // the fleet's pinned keep-alive sockets and the health prober cost
       // no worker while idle, so two workers serve them all — the

@@ -26,6 +26,7 @@
 #include "core/ocular_recommender.h"
 #include "serving/batch.h"
 #include "serving/daemon.h"
+#include "serving/journal.h"
 #include "serving/loadgen.h"
 #include "serving/net_util.h"
 #include "serving/registry.h"
@@ -67,7 +68,7 @@ const std::vector<std::string>& Corpus() {
       R"("just a string")",
       R"({"user":0,"exclude":[999999999,-1,3.14]})",
       R"({"history":["a",null,true,-7]})",
-      std::string("{\"u\0ser\":0,\"m\":\"\\ud800\"}", 27),
+      std::string("{\"u\0ser\":0,\"m\":\"\\ud800\"}", 24),
       R"({{{{]]]]}}}})",
       std::string("nul\0byte{\"user\":0}", 18),
       "{\"user\":0,\"m\":4}   trailing garbage",
@@ -200,8 +201,8 @@ struct FuzzFixture {
     EXPECT_TRUE(SaveModelBinary(f.model, config, f.model_path).ok());
     f.registry = std::make_unique<ModelRegistry>();
     // No dataset bound during the sweep: a mutant that happens to stay a
-    // valid update command must fail cleanly (FailedPrecondition) instead
-    // of retraining and republishing the model mid-fuzz.
+    // valid update command must fail cleanly (FailedPrecondition) before
+    // it journals, retrains, or republishes the model mid-fuzz.
     EXPECT_TRUE(f.registry->Load("default", f.model_path, nullptr).ok());
     return f;
   }
@@ -213,6 +214,12 @@ struct FuzzFixture {
                     ->Load("default", model_path,
                            std::make_shared<const CsrMatrix>(train))
                     .ok());
+  }
+
+  /// Removes the artifact and any update journal beside it.
+  void Cleanup() const {
+    std::remove(model_path.c_str());
+    std::remove(UpdateJournal::PathFor(model_path).c_str());
   }
 };
 
@@ -227,9 +234,6 @@ TEST(WireFuzzTest, HandleLineAnswersEveryMutantWithWellFormedJson) {
   FuzzFixture f = FuzzFixture::Make("fuzz_handle.oclr");
   RequestServer::Options options;
   options.serve.m = 5;
-  // The sweep must not churn journal files or retrain on a lucky valid
-  // update mutant; correctness of the update path has its own tests.
-  options.update_journal = false;
   RequestServer server(f.registry.get(), options);
 
   uint64_t rng = 0xfee1deadull;
@@ -252,14 +256,13 @@ TEST(WireFuzzTest, HandleLineAnswersEveryMutantWithWellFormedJson) {
   EXPECT_TRUE(ReplyMatchesRanked(
       server.HandleLine(R"({"cmd":"recommend","user":2,"m":5})"),
       oracle.recommendations[2]));
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(WireFuzzTest, TcpLineProtocolSurvivesPipelinedMutantBursts) {
   FuzzFixture f = FuzzFixture::Make("fuzz_tcp.oclr");
   RequestServer::Options options;
   options.serve.m = 5;
-  options.update_journal = false;
   options.num_workers = 2;
   options.io_timeout_ms = 100;
   RequestServer server(f.registry.get(), options);
@@ -329,12 +332,12 @@ TEST(WireFuzzTest, TcpLineProtocolSurvivesPipelinedMutantBursts) {
   EXPECT_TRUE(ReplyMatchesRanked(reply, oracle.recommendations[4])) << reply;
   ::close(fd);
 
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   EXPECT_GE(server.Stats().requests_served,
             static_cast<uint64_t>(kBursts * kLinesPerBurst));
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 /// Connects a blocking loopback client with TCP_NODELAY (so 1-byte sends
@@ -362,7 +365,6 @@ TEST(WireFuzzTest, OneByteTrickleDeliveryMatchesWholeLineDelivery) {
   FuzzFixture f = FuzzFixture::Make("fuzz_trickle.oclr");
   RequestServer::Options options;
   options.serve.m = 5;
-  options.update_journal = false;
   options.num_workers = 1;
   options.io_timeout_ms = 100;
   // A deliberately tiny framing cap so the newline-free trickle below
@@ -476,10 +478,10 @@ TEST(WireFuzzTest, OneByteTrickleDeliveryMatchesWholeLineDelivery) {
     ::close(fd);
   }
 
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
-  std::remove(f.model_path.c_str());
+  EXPECT_FALSE(LineServer::ShutdownRequested());
+  f.Cleanup();
 }
 
 }  // namespace

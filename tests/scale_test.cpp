@@ -291,7 +291,7 @@ TEST(ScaleShardSetTest, TwoMillionUsersServedBitIdenticalThroughFleet) {
     replicas[r] = std::make_unique<ServedProcess>(ServedProcess::Start(
         {"--models=default=" + manifest_path,
          "--port=" + std::to_string(ports[r]), "--io-timeout-ms=100",
-         "--journal=0", "--workers=8"},
+         "--workers=8"},
         TempPath("scale_replica" + std::to_string(r) + ".log")));
     ASSERT_TRUE(WaitForServing(ports[r], replicas[r].get())) << r;
   }

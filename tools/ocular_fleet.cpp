@@ -30,7 +30,6 @@
 
 #include "common/flags.h"
 #include "common/strings.h"
-#include "serving/daemon.h"
 #include "serving/fleet.h"
 
 namespace ocular {
@@ -38,7 +37,7 @@ namespace {
 
 constexpr char kUsage[] = R"(usage: ocular_fleet --port=N
         (--replicas=P1,P2[,...] | --spawn=N --served=PATH --models=SPEC
-         [--datasets=SPEC] [--journal=0|1] [--base-port=N]
+         [--datasets=SPEC] [--base-port=N]
          [--replica-workers=N])
         [--workers=N] [--accept-queue=N] [--io-timeout-ms=N]
         [--hedge-after-ms=N] [--probe-interval-ms=N] [--retry-after-ms=N]
@@ -46,13 +45,19 @@ constexpr char kUsage[] = R"(usage: ocular_fleet --port=N
 
 Front-tier proxy over N ocular_served replicas on 127.0.0.1. Attach to
 replicas already running with --replicas, or spawn them with --spawn
-(flags --served/--models/--datasets/--journal are passed through; ports
-are --base-port, --base-port+1, ...). `recommend`/`models` and unknown
-verbs are forwarded (consistent-hashed on "user"); `ping` and `stats`
-answer for the fleet itself; `update`/`reload` are refused — apply them
-to each replica directly or the fleet's models fork. --hedge-after-ms=N
-sends a second copy of a request whose primary is silent after N ms and
-takes the first reply (0 = off). SIGTERM drains gracefully.
+(flags --served/--models/--datasets are passed through; ports are
+--base-port, --base-port+1, ...). `recommend`/`models` and unknown verbs
+are forwarded (consistent-hashed on "user"); `ping` and `stats` answer
+for the fleet itself; `update`/`reload` are refused — apply them to each
+replica directly or the fleet's models fork. Client connections are
+multiplexed on one epoll IO thread, so idle keep-alive clients cost an
+fd, never a worker: --workers sizes how many requests are forwarded at
+once, and --accept-queue is the depth of the queue of parsed requests
+waiting for a worker (a full queue is backpressure, not a shed).
+--io-timeout-ms is the per-hop replica deadline and the connection
+sweep tick. --hedge-after-ms=N sends a second copy of a request whose
+primary is silent after N ms and takes the first reply (0 = off).
+SIGTERM drains gracefully.
 )";
 
 std::vector<pid_t> g_children;
@@ -88,9 +93,6 @@ bool SpawnReplica(const std::string& served, const Flags& flags,
   if (flags.Has("delimiter")) {
     args.push_back("--delimiter=" + flags.GetString("delimiter"));
   }
-  args.push_back("--journal=" + std::string(flags.GetBool("journal", true)
-                                                ? "1"
-                                                : "0"));
   // Replicas multiplex every connection on one epoll IO thread, so idle
   // keep-alive connections (the fleet's pinned front-tier sockets, the
   // health prober) cost no worker at all — workers only size request
@@ -180,7 +182,9 @@ int Run(int argc, char** argv) {
       }
     }
   } else if (flags.Has("replicas")) {
-    for (std::string_view part : Split(flags.GetString("replicas"), ',')) {
+    // Split returns views: the string they point into must outlive them.
+    const std::string spec = flags.GetString("replicas");
+    for (std::string_view part : Split(spec, ',')) {
       int value = 0;
       for (const char c : part) {
         if (c < '0' || c > '9') {
@@ -255,7 +259,7 @@ int Run(int argc, char** argv) {
   options.health.reopen_after_ms = static_cast<uint32_t>(reopen_after_ms);
 
   FleetServer fleet(options);
-  RequestServer::InstallShutdownSignalHandler();
+  LineServer::InstallShutdownSignalHandler();
   ::signal(SIGPIPE, SIG_IGN);
 
   std::string replica_list;

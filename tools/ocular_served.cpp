@@ -27,20 +27,23 @@ constexpr char kUsage[] = R"(usage: ocular_served --models=name=path[,...]
         [--datasets=name=path[,...]] [--delimiter=C] [--port=N] [--m=N]
         [--workers=N] [--accept-queue=N] [--update-sweeps=N]
         [--max-request-bytes=N] [--io-timeout-ms=N] [--idle-timeout-ms=N]
-        [--retry-after-ms=N] [--journal=0|1]
+        [--max-connections=N] [--max-outbound-bytes=N] [--retry-after-ms=N]
 
 Serves binary v2 (.oclr) model files; convert v1 text models first with
 `ocular_cli convert`. Requests are one JSON object per line:
   {"cmd":"recommend","model":"default","user":3,"m":10}
   {"cmd":"models"} | {"cmd":"stats"} | {"cmd":"reload"} | {"cmd":"quit"}
 
-With --port the daemon runs a listener plus --workers serving threads
-(default: one per hardware thread); connections beyond --accept-queue
-waiting for a worker are shed with a {"ok":false,...,"code":503,
-"retry_after_ms":N} reply. Request lines longer than --max-request-bytes
-are answered with code 413 and closed; connections idle past
---idle-timeout-ms are reaped with code 408. Updates are journaled to
-<model>.update.journal and recovered at startup (--journal=0 disables).
+With --port the daemon multiplexes every connection on one epoll IO
+thread feeding --workers serving threads (default: one per hardware
+thread); --accept-queue bounds the requests waiting for a worker (a full
+queue is backpressure, not a shed). Arrivals beyond --max-connections,
+or while the process is out of fds, are shed with a
+{"ok":false,...,"code":503,"retry_after_ms":N} reply. Request lines
+longer than --max-request-bytes are answered with code 413 and closed;
+connections idle past --idle-timeout-ms are reaped with code 408.
+Updates are journaled to <model>.update.journal and recovered at
+startup.
 SIGHUP hot-reloads models; SIGTERM drains gracefully (stops accepting,
 answers everything already read, prints a final stats line, exits 0).
 )";

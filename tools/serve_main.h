@@ -33,9 +33,6 @@
 //                                        0 = never)
 //   --retry-after-ms=N                   backoff hint in 503 shed replies
 //                                        (50)
-//   --journal=0|1                        write-ahead journal every update
-//                                        to <model>.update.journal and
-//                                        recover it at startup (1)
 //
 // The process installs the SIGHUP hot-reload handler and the
 // SIGTERM/SIGINT graceful-drain handler before serving, and replays each
@@ -177,10 +174,9 @@ inline int RunServeCommand(const Flags& flags) {
     return 1;
   }
   options.retry_after_ms = static_cast<uint32_t>(retry_after_ms);
-  options.update_journal = flags.GetBool("journal", true);
   RequestServer server(&registry, options);
   RequestServer::InstallReloadSignalHandler();
-  RequestServer::InstallShutdownSignalHandler();
+  LineServer::InstallShutdownSignalHandler();
   // The daemon's socket writes use MSG_NOSIGNAL, but ignore SIGPIPE
   // process-wide too: no disconnecting client may take the server down.
   ::signal(SIGPIPE, SIG_IGN);
@@ -190,25 +186,23 @@ inline int RunServeCommand(const Flags& flags) {
   // previous incarnation crashed inside (replay or heal — see
   // RequestServer::RecoverJournal). Refusing to serve on a recovery error
   // beats silently serving a model that is missing acked updates.
-  if (options.update_journal) {
-    for (const std::string& name : registry.Names()) {
-      auto recovered = server.RecoverJournal(name);
-      if (!recovered.ok()) {
-        std::fprintf(stderr, "journal recovery for '%s' failed: %s\n",
-                     name.c_str(), recovered.status().ToString().c_str());
-        return 1;
-      }
-      if (recovered->applied_merged > 0 || recovered->replayed_pending ||
-          recovered->healed_commit) {
-        std::fprintf(
-            stderr,
-            "journal recovery for '%s': %llu committed updates re-merged%s%s%s\n",
-            name.c_str(),
-            static_cast<unsigned long long>(recovered->applied_merged),
-            recovered->replayed_pending ? ", crashed update replayed" : "",
-            recovered->healed_commit ? ", missing commit healed" : "",
-            recovered->torn_tail ? ", torn tail discarded" : "");
-      }
+  for (const std::string& name : registry.Names()) {
+    auto recovered = server.RecoverJournal(name);
+    if (!recovered.ok()) {
+      std::fprintf(stderr, "journal recovery for '%s' failed: %s\n",
+                   name.c_str(), recovered.status().ToString().c_str());
+      return 1;
+    }
+    if (recovered->applied_merged > 0 || recovered->replayed_pending ||
+        recovered->healed_commit) {
+      std::fprintf(
+          stderr,
+          "journal recovery for '%s': %llu committed updates re-merged%s%s%s\n",
+          name.c_str(),
+          static_cast<unsigned long long>(recovered->applied_merged),
+          recovered->replayed_pending ? ", crashed update replayed" : "",
+          recovered->healed_commit ? ", missing commit healed" : "",
+          recovered->torn_tail ? ", torn tail discarded" : "");
     }
   }
 
