@@ -47,6 +47,18 @@ int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   return parsed.ok() ? parsed.value() : def;
 }
 
+int64_t Flags::GetIntInRange(const std::string& name, int64_t def,
+                             int64_t lo, int64_t hi, Status* error) const {
+  const int64_t value = GetInt(name, def);
+  if (value >= lo && value <= hi) return value;
+  if (error->ok()) {
+    *error = Status::InvalidArgument("--" + name + " must be in [" +
+                                     std::to_string(lo) + ", " +
+                                     std::to_string(hi) + "]");
+  }
+  return def;
+}
+
 double Flags::GetDouble(const std::string& name, double def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;

@@ -30,6 +30,12 @@ class Flags {
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def = false) const;
 
+  /// GetInt checked against [lo, hi]. Out of range it returns `def` and,
+  /// unless `*error` already holds the first bad flag, sets it to
+  /// "--name must be in [lo, hi]".
+  int64_t GetIntInRange(const std::string& name, int64_t def, int64_t lo,
+                        int64_t hi, Status* error) const;
+
   /// Strict typed getters: error when the flag is missing or malformed.
   Result<std::string> RequireString(const std::string& name) const;
   Result<int64_t> RequireInt(const std::string& name) const;

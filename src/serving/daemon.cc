@@ -14,9 +14,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/fs_util.h"
-#include "core/model_store.h"
-#include "serving/journal.h"
 #include "serving/render.h"
 
 namespace ocular {
@@ -83,7 +80,8 @@ RequestServer::RequestServer(ModelRegistry* registry, Options options)
     : registry_(registry),
       options_(options),
       num_tcp_workers_(ResolveWorkerCount(options.num_workers)),
-      transport_(options_) {
+      transport_(options_),
+      updater_(registry, options_.fold_in) {
   // TCP pool slots plus the inline slot for HandleLine/stdio callers.
   // The slot VECTOR must be complete here — Stats() iterates it lock-free
   // from any thread, so it can never grow later — but only the inline
@@ -191,22 +189,8 @@ Result<std::vector<ScoredItem>> RequestServer::Recommend(
 
 std::string RequestServer::ErrorReply(WorkerState* w,
                                       const std::string& message) {
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("ok");
-  writer.Bool(false);
-  writer.Key("error");
-  writer.String(message);
-  writer.EndObject();
   w->errors.fetch_add(1, std::memory_order_relaxed);
-  return writer.str();
-}
-
-std::string RequestServer::CodedErrorReply(WorkerState* w,
-                                           const std::string& message,
-                                           uint32_t code) {
-  w->errors.fetch_add(1, std::memory_order_relaxed);
-  return RenderCodedError(message, code);
+  return RenderError(message);
 }
 
 std::string RequestServer::HandleRecommend(WorkerState* w,
@@ -349,397 +333,6 @@ std::string RequestServer::HandleHistory(WorkerState* w,
   return writer.str();
 }
 
-Result<RequestServer::UpdateOutcome> RequestServer::ApplyShardedUpdate(
-    const ServableModel& model, const std::string& model_name,
-    const std::vector<std::pair<uint32_t, uint32_t>>& adds,
-    uint32_t num_users, uint32_t num_items) {
-  // A sharded binding never grows online: the shard ranges and the shared
-  // item factors are fixed at save time, so an id past either dimension
-  // needs an offline retrain + reshard (`ocular_cli shard`), not an
-  // update.
-  if (num_users > model.num_users() || num_items > model.num_items()) {
-    return Status::FailedPrecondition(
-        "sharded model '" + model_name +
-        "' cannot grow online; retrain and reshard offline (ocular_cli "
-        "shard)");
-  }
-  for (auto [u, i] : adds) {
-    if (u >= model.num_users() || i >= model.num_items()) {
-      return Status::FailedPrecondition(
-          "add (" + std::to_string(u) + ", " + std::to_string(i) +
-          ") is outside sharded model '" + model_name + "' (" +
-          std::to_string(model.num_users()) + " x " +
-          std::to_string(model.num_items()) +
-          "); retrain and reshard offline (ocular_cli shard)");
-    }
-  }
-  if (model.fold_in == nullptr) {
-    return Status::FailedPrecondition(
-        "sharded update refreshes users by fold-in, but model '" + model_name +
-        "' has no fold-in context (not an OCuLaR probability model)");
-  }
-  if (fault::Maybe("update.apply")) return fault::InjectedError("update.apply");
-
-  // Merge the deltas into a private copy of the training matrix: a
-  // touched user's fold-in history is its FULL updated row (Section V's
-  // new-user solve against fixed item factors), and the republish rebinds
-  // the merged matrix as the exclusion source.
-  CooBuilder coo;
-  coo.Reserve(model.train->nnz() + adds.size());
-  for (auto [u, i] : model.train->ToPairs()) coo.Add(u, i);
-  for (auto [u, i] : adds) coo.Add(u, i);
-  OCULAR_ASSIGN_OR_RETURN(
-      auto entries, coo.Finalize(model.num_users(), model.num_items()));
-  auto merged = std::make_shared<const CsrMatrix>(CsrMatrix::FromCoo(entries));
-
-  std::vector<uint32_t> touched_users;
-  touched_users.reserve(adds.size());
-  for (auto [u, i] : adds) touched_users.push_back(u);
-  std::sort(touched_users.begin(), touched_users.end());
-  touched_users.erase(
-      std::unique(touched_users.begin(), touched_users.end()),
-      touched_users.end());
-
-  const FoldInContext& ctx = *model.fold_in;
-  FoldInWorkspace fold_ws;
-  ShardSetManifest manifest = model.manifest;
-  uint32_t shards_touched = 0;
-  size_t next = 0;
-  for (uint32_t s = 0;
-       s < model.shard_map.num_shards() && next < touched_users.size(); ++s) {
-    const uint32_t begin = model.shard_map.begin(s);
-    const uint32_t end = model.shard_map.end(s);
-    if (touched_users[next] >= end) continue;
-
-    // Copy-on-write per shard: the live mapping is never written. Only
-    // shards owning a touched user are copied, folded, and rewritten —
-    // the untouched siblings keep their files, fingerprints and mappings.
-    ConstMatrixView rows = model.shard_stores[s]->user_factors();
-    DenseMatrix block(rows.rows(), rows.cols());
-    for (uint32_t r = 0; r < rows.rows(); ++r) {
-      std::span<const double> src = rows.Row(r);
-      std::copy(src.begin(), src.end(), block.Row(r).begin());
-    }
-    for (; next < touched_users.size() && touched_users[next] < end; ++next) {
-      const uint32_t u = touched_users[next];
-      const std::span<const uint32_t> history = merged->Row(u);
-      fold_ws.Reserve(ctx.dims(), history.size());
-      OCULAR_RETURN_IF_ERROR(
-          FoldInUserInto(ctx, history, options_.fold_in, &fold_ws));
-      std::copy(fold_ws.f.begin(), fold_ws.f.end(),
-                block.Row(u - begin).begin());
-    }
-
-    // Same publish discipline as the monolithic retrain — write-temp,
-    // fsync, verify-open, durable-rename — applied to ONE shard file.
-    const std::string shard_path =
-        ShardSetResolve(model.model_path, manifest.shards[s].file);
-    const std::string tmp_path = shard_path + ".update.tmp";
-    OCULAR_RETURN_IF_ERROR(
-        SaveShardUserFactors(model.meta(), block, tmp_path));
-    Status durable = fs::FsyncFile(tmp_path);
-    if (durable.ok()) {
-      if (auto verify = ModelStore::Open(tmp_path); !verify.ok()) {
-        durable = Status::IOError("shard update artifact failed verification: " +
-                                  verify.status().ToString());
-      }
-    }
-    if (durable.ok()) durable = fs::DurableRename(tmp_path, shard_path);
-    if (!durable.ok()) {
-      if (::access(tmp_path.c_str(), F_OK) == 0) ::remove(tmp_path.c_str());
-      // Shards already renamed this call now disagree with the published
-      // manifest on disk; the serving generation is untouched, and the
-      // next open refuses with a fingerprint mismatch instead of serving
-      // the torn set (OPERATIONS.md covers the recovery).
-      return durable;
-    }
-    OCULAR_ASSIGN_OR_RETURN(manifest.shards[s].fingerprint,
-                            fs::FileFingerprint(shard_path));
-    ++shards_touched;
-  }
-
-  // Manifest last, durably: readers open either the old consistent set or
-  // the new one, never a mix.
-  if (shards_touched > 0) {
-    const std::string manifest_tmp = model.model_path + ".update.tmp";
-    OCULAR_RETURN_IF_ERROR(SaveShardSetManifest(manifest, manifest_tmp));
-    Status durable = fs::FsyncFile(manifest_tmp);
-    if (durable.ok()) {
-      durable = fs::DurableRename(manifest_tmp, model.model_path);
-    }
-    if (!durable.ok()) {
-      if (::access(manifest_tmp.c_str(), F_OK) == 0) {
-        ::remove(manifest_tmp.c_str());
-      }
-      return durable;
-    }
-  }
-
-  // The per-shard generation swap: Load aliases every untouched member
-  // from the serving generation and reopens only the rewritten files.
-  OCULAR_RETURN_IF_ERROR(registry_->Load(model_name, model.model_path, merged));
-  updates_.fetch_add(1, std::memory_order_relaxed);
-
-  UpdateOutcome outcome;
-  outcome.num_users = model.num_users();
-  outcome.num_items = model.num_items();
-  outcome.sweeps_run = 0;
-  outcome.converged = true;
-  outcome.sharded = true;
-  outcome.shards_touched = shards_touched;
-  outcome.users_refreshed = static_cast<uint32_t>(touched_users.size());
-  return outcome;
-}
-
-Result<RequestServer::UpdateOutcome> RequestServer::RetrainAndPublish(
-    const ServableModel& model, const std::string& model_name,
-    const std::shared_ptr<const CsrMatrix>& updated_train, uint32_t users,
-    uint32_t items, uint32_t sweeps, uint64_t seed, bool* published) {
-  *published = false;
-  // Copy-on-write: the live mapping is never touched — the update
-  // materializes a private copy, retrains it, and publishes the result as
-  // a new generation.
-  if (fault::Maybe("update.apply")) return fault::InjectedError("update.apply");
-  OCULAR_ASSIGN_OR_RETURN(LoadedModel loaded, model.store.MaterializeOcular());
-
-  OcularConfig config = loaded.config;
-  config.max_sweeps = sweeps;
-  ExpandOptions expand;
-  expand.seed = seed;  // 0 = shape-derived stream (see ExpandOptions)
-  OCULAR_ASSIGN_OR_RETURN(
-      OcularFitResult fit,
-      UpdateModel(loaded.model, *updated_train, config, expand));
-
-  // Persist write-temp, fsync, verify, durable-rename: a crash mid-write
-  // can never leave a torn model file behind the running mapping, a crash
-  // right after the ack can never lose the renamed artifact to unflushed
-  // page cache, and a silently corrupted write can never be published
-  // (the verify-open checks every section checksum before the swap).
-  const std::string tmp_path = model.model_path + ".update.tmp";
-  OCULAR_RETURN_IF_ERROR(SaveModelBinary(fit.model, config, tmp_path));
-  Status durable = fs::FsyncFile(tmp_path);
-  if (durable.ok()) {
-    if (auto verify = ModelStore::Open(tmp_path); !verify.ok()) {
-      durable = Status::IOError("update artifact failed verification: " +
-                                verify.status().ToString());
-    }
-  }
-  if (durable.ok()) durable = fs::DurableRename(tmp_path, model.model_path);
-  if (!durable.ok()) {
-    // DurableRename can fail on either side of the rename (the dirsync
-    // comes after it). The tmp file still existing proves the rename
-    // never happened — clean up and report an unpublished failure; tmp
-    // gone means the artifact DID move, and only its directory-entry
-    // durability is in doubt — treat as published (fs_util.h contract)
-    // so the journal commits what clients will observe.
-    if (::access(tmp_path.c_str(), F_OK) == 0) {
-      ::remove(tmp_path.c_str());
-      return durable;
-    }
-    std::fprintf(stderr,
-                 "update on '%s': published but directory sync failed: %s\n",
-                 model_name.c_str(), durable.ToString().c_str());
-  }
-  *published = true;
-  // The same generation swap as SIGHUP reload: in-flight requests drain
-  // on their leased mapping, workers re-resolve lock-free.
-  OCULAR_RETURN_IF_ERROR(
-      registry_->Load(model_name, model.model_path, updated_train));
-  updates_.fetch_add(1, std::memory_order_relaxed);
-
-  UpdateOutcome outcome;
-  outcome.num_users = users;
-  outcome.num_items = items;
-  outcome.sweeps_run = fit.sweeps_run;
-  outcome.converged = fit.converged;
-  return outcome;
-}
-
-Result<RequestServer::UpdateOutcome> RequestServer::ApplyUpdate(
-    WorkerState* w, const std::string& model_name,
-    const std::vector<std::pair<uint32_t, uint32_t>>& adds,
-    uint32_t num_users, uint32_t num_items, uint32_t sweeps, uint64_t seed) {
-  // One update at a time; concurrent recommends keep serving the current
-  // generation and never take this mutex.
-  std::lock_guard<std::mutex> lock(update_mu_);
-  std::shared_ptr<const ServableModel> model = LeaseModel(w, model_name);
-  if (model == nullptr) {
-    return Status::NotFound("no model named '" + model_name + "'");
-  }
-  if (model->train == nullptr) {
-    return Status::FailedPrecondition(
-        "update requires a dataset bound to model '" + model_name +
-        "' (--datasets): the interaction deltas extend the training matrix");
-  }
-  if (model->sharded) {
-    // Sharded bindings refresh touched users by fold-in against the fixed
-    // shared item factors and republish only the rewritten shard files.
-    // The update journal stays out of this path — it is a single-artifact
-    // recovery mechanism keyed on one file fingerprint; sharded updates
-    // are instead made durable per shard file (write-temp + fsync +
-    // verify + rename), with the manifest republished last.
-    return ApplyShardedUpdate(*model, model_name, adds, num_users, num_items);
-  }
-  uint32_t users = std::max(model->num_users(), num_users);
-  uint32_t items = std::max(model->num_items(), num_items);
-  CooBuilder coo;
-  coo.Reserve(model->train->nnz() + adds.size());
-  for (auto [u, i] : model->train->ToPairs()) coo.Add(u, i);
-  for (auto [u, i] : adds) {
-    users = std::max(users, u + 1);
-    items = std::max(items, i + 1);
-    coo.Add(u, i);
-  }
-  OCULAR_ASSIGN_OR_RETURN(auto entries, coo.Finalize(users, items));
-  auto updated_train =
-      std::make_shared<const CsrMatrix>(CsrMatrix::FromCoo(entries));
-
-  // Write-ahead: the full replay recipe is durable before the retrain
-  // starts, so a crash anywhere past this point can be recovered to the
-  // exact artifact this call would have published (RecoverJournal). An
-  // append failure fails the update — the client's ack must never be
-  // backed by nothing but RAM.
-  UpdateJournal journal;
-  {
-    UpdateRecord record;
-    OCULAR_ASSIGN_OR_RETURN(record.base_fingerprint,
-                            fs::FileFingerprint(model->model_path));
-    record.seed = seed;
-    record.num_users = users;
-    record.num_items = items;
-    record.sweeps = sweeps;
-    record.adds = adds;
-    OCULAR_RETURN_IF_ERROR(
-        journal.Open(UpdateJournal::PathFor(model->model_path)));
-    OCULAR_RETURN_IF_ERROR(journal.AppendUpdate(record));
-  }
-
-  bool published = false;
-  Result<UpdateOutcome> outcome =
-      RetrainAndPublish(*model, model_name, updated_train, users, items,
-                        sweeps, seed, &published);
-  // The journal's verdict follows the artifact, not the reply: a failure
-  // AFTER the rename still commits (clients will observe the new
-  // artifact), a clean failure before it aborts so recovery never replays
-  // an update the client saw fail. A failed closing append merely leaves
-  // the record pending — the fingerprint check at next start resolves it
-  // the right way, so serving continues.
-  const Status closing = (outcome.ok() || published) ? journal.AppendCommit()
-                                                     : journal.AppendAbort();
-  if (!closing.ok()) {
-    std::fprintf(stderr, "update journal on '%s': %s\n", model_name.c_str(),
-                 closing.ToString().c_str());
-  }
-  return outcome;
-}
-
-Result<JournalRecoveryStats> RequestServer::RecoverJournal(
-    const std::string& model_name) {
-  std::lock_guard<std::mutex> lock(update_mu_);
-  JournalRecoveryStats stats;
-  std::shared_ptr<const ServableModel> model = registry_->Get(model_name);
-  if (model == nullptr) {
-    return Status::NotFound("no model named '" + model_name + "'");
-  }
-  const std::string journal_path = UpdateJournal::PathFor(model->model_path);
-  OCULAR_ASSIGN_OR_RETURN(UpdateJournal::Plan plan,
-                          UpdateJournal::LoadPlan(journal_path));
-  stats.torn_tail = plan.torn_tail;
-  if (plan.applied.empty() && !plan.has_pending) return stats;
-  if (model->train == nullptr) {
-    return Status::FailedPrecondition(
-        "journal " + journal_path + " has records but model '" + model_name +
-        "' has no bound dataset (--datasets): the deltas extend the training "
-        "matrix");
-  }
-
-  // A trailing record with no commit/abort is the crash window. The
-  // artifact fingerprint decides which side of the rename the crash hit:
-  // still equal to the record's base means the retrain never published —
-  // replay it; moved past it means the rename landed and only the commit
-  // record is missing — the adds are law, heal the journal.
-  bool replay_pending = false;
-  if (plan.has_pending) {
-    OCULAR_ASSIGN_OR_RETURN(const uint64_t fingerprint,
-                            fs::FileFingerprint(model->model_path));
-    if (fingerprint == plan.pending.base_fingerprint) {
-      replay_pending = true;
-    } else {
-      plan.applied.push_back(plan.pending);
-      plan.has_pending = false;
-      stats.healed_commit = true;
-    }
-  }
-
-  // Re-merge every applied record's deltas into the training base: the
-  // --datasets CSV is the original snapshot and knows nothing about
-  // updates applied by previous incarnations. CooBuilder::Finalize sorts
-  // and deduplicates, so the merge is order-insensitive and idempotent —
-  // recovering twice yields the same canonical matrix.
-  uint32_t users = model->train->num_rows();
-  uint32_t items = model->train->num_cols();
-  size_t extra = 0;
-  for (const UpdateRecord& record : plan.applied) extra += record.adds.size();
-  CooBuilder coo;
-  coo.Reserve(model->train->nnz() + extra);
-  for (auto [u, i] : model->train->ToPairs()) coo.Add(u, i);
-  for (const UpdateRecord& record : plan.applied) {
-    users = std::max(users, record.num_users);
-    items = std::max(items, record.num_items);
-    for (auto [u, i] : record.adds) coo.Add(u, i);
-  }
-  OCULAR_ASSIGN_OR_RETURN(auto entries, coo.Finalize(users, items));
-  auto merged = std::make_shared<const CsrMatrix>(CsrMatrix::FromCoo(entries));
-  stats.applied_merged = plan.applied.size();
-
-  if (!replay_pending) {
-    if (!plan.applied.empty()) {
-      OCULAR_RETURN_IF_ERROR(
-          registry_->Load(model_name, model->model_path, merged));
-      journal_recovered_.fetch_add(plan.applied.size(),
-                                   std::memory_order_relaxed);
-    }
-    if (stats.healed_commit) {
-      UpdateJournal journal;
-      OCULAR_RETURN_IF_ERROR(journal.Open(journal_path));
-      OCULAR_RETURN_IF_ERROR(journal.AppendCommit());
-    }
-    return stats;
-  }
-
-  // Replay: rebuild the pending update's training matrix on top of the
-  // recovered base and run the exact pipeline the crashed process was
-  // running — same adds, same dims, same sweeps, same seed, same base
-  // artifact — so the recovered generation is bit-identical to what the
-  // lost ack promised.
-  uint32_t replay_users = std::max(users, plan.pending.num_users);
-  uint32_t replay_items = std::max(items, plan.pending.num_items);
-  CooBuilder replay_coo;
-  replay_coo.Reserve(merged->nnz() + plan.pending.adds.size());
-  for (auto [u, i] : merged->ToPairs()) replay_coo.Add(u, i);
-  for (auto [u, i] : plan.pending.adds) replay_coo.Add(u, i);
-  OCULAR_ASSIGN_OR_RETURN(auto replay_entries,
-                          replay_coo.Finalize(replay_users, replay_items));
-  auto replay_train =
-      std::make_shared<const CsrMatrix>(CsrMatrix::FromCoo(replay_entries));
-  bool published = false;
-  Result<UpdateOutcome> outcome = RetrainAndPublish(
-      *model, model_name, replay_train, replay_users, replay_items,
-      plan.pending.sweeps, plan.pending.seed, &published);
-  if (!outcome.ok() && !published) {
-    // Leave the record pending: the next start retries the replay. The
-    // caller decides whether to serve without the promised update.
-    return outcome.status();
-  }
-  UpdateJournal journal;
-  OCULAR_RETURN_IF_ERROR(journal.Open(journal_path));
-  OCULAR_RETURN_IF_ERROR(journal.AppendCommit());
-  stats.replayed_pending = true;
-  journal_recovered_.fetch_add(plan.applied.size(), std::memory_order_relaxed);
-  journal_replays_.fetch_add(1, std::memory_order_relaxed);
-  return stats;
-}
-
 std::string RequestServer::HandleUpdate(WorkerState* w,
                                         const JsonValue& request) {
   std::string model_name = "default";
@@ -782,10 +375,10 @@ std::string RequestServer::HandleUpdate(WorkerState* w,
   if (!seed.ok()) return ErrorReply(w, seed.status().message());
 
   const double start_us = NowMicros();
-  auto outcome = ApplyUpdate(w, model_name, adds,
-                             static_cast<uint32_t>(*num_users),
-                             static_cast<uint32_t>(*num_items),
-                             static_cast<uint32_t>(*sweeps), *seed);
+  auto outcome = updater_.Apply(model_name, adds,
+                                static_cast<uint32_t>(*num_users),
+                                static_cast<uint32_t>(*num_items),
+                                static_cast<uint32_t>(*sweeps), *seed);
   if (!outcome.ok()) return ErrorReply(w, outcome.status().ToString());
 
   JsonWriter writer;
@@ -975,14 +568,7 @@ std::string RequestServer::HandleLineOn(WorkerState* w,
       reply = HandleReload(w);
     } else if (cmd == "quit") {
       *quit = true;
-      JsonWriter writer;
-      writer.BeginObject();
-      writer.Key("ok");
-      writer.Bool(true);
-      writer.Key("bye");
-      writer.Bool(true);
-      writer.EndObject();
-      reply = writer.str();
+      reply = RenderQuitReply();
     } else {
       reply = ErrorReply(w, "unknown cmd '" + cmd + "'");
     }
@@ -998,10 +584,9 @@ DaemonStatsSnapshot RequestServer::Stats() const {
   snapshot.models_loaded = registry_->size();
   snapshot.workers = num_tcp_workers_;
   snapshot.reloads = reloads_.load(std::memory_order_relaxed);
-  snapshot.updates = updates_.load(std::memory_order_relaxed);
-  snapshot.journal_recovered =
-      journal_recovered_.load(std::memory_order_relaxed);
-  snapshot.journal_replays = journal_replays_.load(std::memory_order_relaxed);
+  snapshot.updates = updater_.updates();
+  snapshot.journal_recovered = updater_.journal_recovered();
+  snapshot.journal_replays = updater_.journal_replays();
   std::vector<double> window;
   for (const auto& w : workers_) {
     snapshot.requests_served += w->requests.load(std::memory_order_relaxed);
@@ -1072,9 +657,10 @@ void RequestServer::OnTick() { ConsumePendingReload(); }
 
 std::string RequestServer::ConnectionError(const std::string& message,
                                            uint32_t code) {
-  // Called on the transport's IO thread; the errors counter behind
-  // CodedErrorReply is atomic, so the inline slot is safe to use.
-  return CodedErrorReply(InlineWorker(), message, code);
+  // Called on the transport's IO thread; the inline slot's errors
+  // counter is atomic, so counting there is safe.
+  InlineWorker()->errors.fetch_add(1, std::memory_order_relaxed);
+  return RenderError(message, code);
 }
 
 Status RequestServer::RunTcpLoop(uint16_t port, uint64_t max_accepts) {

@@ -7,7 +7,6 @@
 #include <istream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <span>
 #include <string>
@@ -16,10 +15,10 @@
 #include "common/json.h"
 #include "common/result.h"
 #include "core/fold_in.h"
-#include "core/incremental.h"
 #include "serving/line_server.h"
 #include "serving/registry.h"
 #include "serving/score_engine.h"
+#include "serving/updater.h"
 
 namespace ocular {
 
@@ -50,8 +49,8 @@ struct DaemonStatsSnapshot : ConnectionStats {
   /// In-daemon incremental updates published via the `update` verb.
   uint64_t updates = 0;
   /// Committed journal records re-merged into the training base at
-  /// startup (RecoverJournal) — nonzero means this process inherited
-  /// update deltas from a previous incarnation.
+  /// startup (Updater::RecoverJournal) — nonzero means this process
+  /// inherited update deltas from a previous incarnation.
   uint64_t journal_recovered = 0;
   /// Pending (crash-windowed) journal records replayed to a fresh
   /// artifact at startup.
@@ -102,26 +101,6 @@ class LatencyRing {
   std::atomic<uint64_t> count_{0};  // total ever recorded
 };
 
-/// \brief What RequestServer::RecoverJournal did for one model at
-/// startup. All-zero/false means the journal was absent or empty — a
-/// clean previous shutdown with no updates ever applied.
-struct JournalRecoveryStats {
-  /// Committed updates whose deltas were re-merged into the training
-  /// base (the --datasets CSV is the original snapshot; these restore
-  /// everything applied since).
-  uint64_t applied_merged = 0;
-  /// A trailing uncommitted update was found whose artifact rename never
-  /// happened; it was retrained and published now (then committed).
-  bool replayed_pending = false;
-  /// A trailing uncommitted update was found already published (artifact
-  /// fingerprint moved past its base); only the missing commit record
-  /// was appended.
-  bool healed_commit = false;
-  /// The journal ended in a torn/corrupt record (discarded; the prefix
-  /// was recovered normally). Expected after a crash mid-append.
-  bool torn_tail = false;
-};
-
 /// \brief Exact percentile of `samples` (modified in place: sorted).
 /// Nearest-rank on the sorted merged window — index floor(p * (n - 1)) —
 /// the same convention the single-ring daemon used, now applied AFTER
@@ -161,15 +140,17 @@ double MergedPercentile(std::vector<double>* samples, double p);
 /// untrusted wire input: they are sorted, deduplicated, and stripped of
 /// out-of-range ids (counted in stats) before the solve, and a history
 /// carrying no signal falls back to the deterministic popularity ranking
-/// (the reply's "folded" flag says which path answered). `update` applies
-/// interaction deltas (`adds` pairs, optionally growing the catalog) via
-/// the warm-start incremental trainer on a copy of the current model,
-/// persists the result over the model file (write-temp + rename), and
-/// publishes it through the registry generation swap — in-flight requests
-/// keep their lease, workers drain onto the new generation lock-free,
-/// exactly the SIGHUP-reload guarantees. Updates require a bound dataset
-/// (the training matrix is the delta's base) and serialize on one mutex;
-/// reads never block.
+/// (the reply's "folded" flag says which path answered). `update` parses
+/// interaction deltas (`adds` pairs, optionally growing the catalog) and
+/// hands them to the server's Updater (serving/updater.h): a journaled
+/// warm-start retrain of a monolithic model, or a fold-in refresh of the
+/// touched users of a shardset, persisted by the durable publish (write
+/// tmp, fsync, verify, rename, directory sync) and swapped in through the
+/// registry generation — in-flight requests keep their lease, workers
+/// drain onto the new generation lock-free, exactly the SIGHUP-reload
+/// guarantees. Updates require a bound dataset (the training matrix is
+/// the delta's base) and serialize on the updater's mutex; reads never
+/// block.
 ///
 /// Concurrency: RunTcpLoop serves on the shared epoll transport
 /// (serving/line_server.h), which owns every socket, the framing, the
@@ -254,6 +235,10 @@ class RequestServer : private LineHandler {
   /// does but for this server only (LineServer::Stop). Any thread.
   void Stop() { transport_.Stop(); }
 
+  /// \brief The update pipeline behind the `update` verb; startup code
+  /// runs Updater::RecoverJournal on it before serving.
+  Updater& updater() { return updater_; }
+
   /// \brief Current counters + exact merged latency percentiles.
   DaemonStatsSnapshot Stats() const;
 
@@ -273,17 +258,6 @@ class RequestServer : private LineHandler {
   /// whether a reload ran. Also callable directly (the `reload` verb).
   /// Thread-safe: the latch guarantees exactly one thread runs the swap.
   bool ConsumePendingReload();
-
-  /// \brief Replays `<model>.update.journal` against the freshly loaded
-  /// model: re-merges every committed update's deltas into the bound
-  /// training matrix (rebinding it through the registry), resolves a
-  /// trailing crash-windowed record by artifact fingerprint (replay it if
-  /// its rename never happened, heal the missing commit if it did), and
-  /// returns what was done. Call once per model after registry load and
-  /// BEFORE serving; with no journal on disk this is a cheap no-op.
-  /// Requires a bound dataset when the journal has records (the deltas
-  /// extend the training matrix). Serialized on the update mutex.
-  Result<JournalRecoveryStats> RecoverJournal(const std::string& model_name);
 
  private:
   /// Everything one serving thread owns: scratch buffers, its latency
@@ -313,19 +287,6 @@ class RequestServer : private LineHandler {
     LatencyRing latency;
   };
 
-  /// What one applied `update` published.
-  struct UpdateOutcome {
-    uint32_t num_users = 0;
-    uint32_t num_items = 0;
-    uint32_t sweeps_run = 0;
-    bool converged = false;
-    /// Sharded updates only: how many shard files were rewritten and
-    /// republished, and how many user rows were folded in afresh.
-    bool sharded = false;
-    uint32_t shards_touched = 0;
-    uint32_t users_refreshed = 0;
-  };
-
   WorkerState* InlineWorker() { return workers_.back().get(); }
   void RefreshLeases(WorkerState* w);
   std::shared_ptr<const ServableModel> LeaseModel(WorkerState* w,
@@ -345,25 +306,11 @@ class RequestServer : private LineHandler {
                             const std::string& model_name,
                             const ServeOptions& serve);
   std::string HandleUpdate(WorkerState* w, const JsonValue& request);
-  Result<UpdateOutcome> ApplyUpdate(
-      WorkerState* w, const std::string& model_name,
-      const std::vector<std::pair<uint32_t, uint32_t>>& adds,
-      uint32_t num_users, uint32_t num_items, uint32_t sweeps, uint64_t seed);
-  Result<UpdateOutcome> ApplyShardedUpdate(
-      const ServableModel& model, const std::string& model_name,
-      const std::vector<std::pair<uint32_t, uint32_t>>& adds,
-      uint32_t num_users, uint32_t num_items);
-  Result<UpdateOutcome> RetrainAndPublish(
-      const ServableModel& model, const std::string& model_name,
-      const std::shared_ptr<const CsrMatrix>& updated_train, uint32_t users,
-      uint32_t items, uint32_t sweeps, uint64_t seed, bool* published);
   std::string HandleModels();
   std::string HandlePing();
   std::string HandleStats();
   std::string HandleReload(WorkerState* w);
   std::string ErrorReply(WorkerState* w, const std::string& message);
-  std::string CodedErrorReply(WorkerState* w, const std::string& message,
-                              uint32_t code);
 
   // LineHandler: the transport's workers answer on their own slots.
   std::string ServeLine(size_t worker, const std::string& line,
@@ -389,15 +336,9 @@ class RequestServer : private LineHandler {
   std::vector<std::unique_ptr<WorkerState>> workers_;
 
   LineServer transport_;
+  Updater updater_;
 
   std::atomic<uint64_t> reloads_{0};
-  std::atomic<uint64_t> updates_{0};
-  std::atomic<uint64_t> journal_recovered_{0};
-  std::atomic<uint64_t> journal_replays_{0};
-  /// Serializes `update` rebuilds (materialize → retrain → persist →
-  /// publish). Recommends never take it: they keep serving the current
-  /// generation and drain onto the published one lease-by-lease.
-  std::mutex update_mu_;
 };
 
 }  // namespace ocular

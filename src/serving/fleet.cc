@@ -434,7 +434,7 @@ std::string FleetServer::NoHealthyReply() {
   }
   uint64_t hint = options_.retry_after_ms;
   if (best > 0) hint = retry::ClampRetryAfterMs(static_cast<uint64_t>(best));
-  return RenderCodedError(
+  return RenderError(
       "no healthy replica: fleet is shedding, retry later", 503, hint);
 }
 
@@ -779,14 +779,7 @@ std::string FleetServer::ProxyOne(WorkerSlot* w, const std::string& line,
     if (cmd == "stats") return FleetStatsReply();
     if (cmd == "quit") {
       *quit = true;
-      JsonWriter writer;
-      writer.BeginObject();
-      writer.Key("ok");
-      writer.Bool(true);
-      writer.Key("bye");
-      writer.Bool(true);
-      writer.EndObject();
-      return writer.str();
+      return RenderQuitReply();
     }
     if (cmd == "update" || cmd == "reload") {
       // Forwarding a mutation to ONE replica would silently fork the
@@ -794,7 +787,7 @@ std::string FleetServer::ProxyOne(WorkerSlot* w, const std::string& line,
       // replicas, the core serving contract. Mutations go to each
       // replica directly (see the OPERATIONS.md fleet runbook).
       rejected_verbs_.fetch_add(1, std::memory_order_relaxed);
-      return RenderCodedError(
+      return RenderError(
           "'" + cmd +
               "' is not served through the fleet front tier: apply it to "
               "each replica directly, or it would fork the fleet's models",

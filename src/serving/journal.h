@@ -13,7 +13,7 @@ namespace ocular {
 /// \file
 /// \brief The update journal: a durable write-ahead log of `update` verbs.
 ///
-/// The daemon's in-place update pipeline (serving/daemon.h, HandleUpdate)
+/// The daemon's in-place update pipeline (serving/updater.h, Updater::Apply)
 /// acks an update only after the retrained artifact is renamed over the
 /// model file. Two crash windows would still lose state without a log:
 ///
@@ -45,7 +45,7 @@ namespace ocular {
 /// Lifecycle discipline: each kUpdate is closed by exactly one kCommit
 /// (artifact renamed — the adds are law) or kAbort (clean failure before
 /// the rename — the adds never happened). Only a crash leaves a trailing
-/// pending record; RequestServer::RecoverJournal resolves it by
+/// pending record; Updater::RecoverJournal resolves it by
 /// fingerprint on the next start. The journal must stay next to the model
 /// file for as long as the original dataset snapshot is the serving base;
 /// deleting it forgets every applied update's deltas on the next restart
@@ -70,7 +70,7 @@ struct UpdateRecord {
 };
 
 /// \brief Appender + torn-tail-tolerant reader for the update journal.
-/// Appends are serialized by the caller (the daemon's update mutex); the
+/// Appends are serialized by the caller (the Updater's mutex); the
 /// reader is a static, whole-file pass used only at recovery time.
 class UpdateJournal {
  public:

@@ -132,8 +132,8 @@ void WriteConnectionStats(const ConnectionStats& stats, JsonWriter* w) {
   w->UInt(stats.peak_outbound_bytes);
 }
 
-std::string RenderCodedError(const std::string& message, uint32_t code,
-                             uint64_t retry_after_ms) {
+std::string RenderError(const std::string& message, uint32_t code,
+                        uint64_t retry_after_ms) {
   // Coded failures let clients tell "fix your framing / you were reaped /
   // come back later" apart from a request error, which has no code.
   JsonWriter w;
@@ -142,12 +142,25 @@ std::string RenderCodedError(const std::string& message, uint32_t code,
   w.Bool(false);
   w.Key("error");
   w.String(message);
-  w.Key("code");
-  w.UInt(code);
+  if (code != 0) {
+    w.Key("code");
+    w.UInt(code);
+  }
   if (retry_after_ms != 0) {
     w.Key("retry_after_ms");
     w.UInt(retry_after_ms);
   }
+  w.EndObject();
+  return w.str();
+}
+
+std::string RenderQuitReply() {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("ok");
+  w.Bool(true);
+  w.Key("bye");
+  w.Bool(true);
   w.EndObject();
   return w.str();
 }
@@ -515,7 +528,7 @@ struct LineServer::Core {
   void Shed(int fd, const std::string& message) {
     server->shed_.fetch_add(1, std::memory_order_relaxed);
     const std::string reply =
-        RenderCodedError(message, 503, opts.retry_after_ms) + "\n";
+        RenderError(message, 503, opts.retry_after_ms) + "\n";
     if (!fault::Maybe("daemon.send")) {
       (void)net::SendAll(fd, reply.data(), reply.size());
     }

@@ -102,12 +102,17 @@ struct ConnectionStats {
 /// open JSON object — the one rendering both `stats` replies share.
 void WriteConnectionStats(const ConnectionStats& stats, JsonWriter* w);
 
-/// \brief `{"ok":false,"error":message,"code":code}` plus
+/// \brief `{"ok":false,"error":message}` plus `"code"` and
 /// `"retry_after_ms"` when nonzero (no trailing newline): the shape of
-/// every connection-level and front-tier refusal (503 shed, 408 idle,
-/// 413 oversize, 501 refused verb).
-std::string RenderCodedError(const std::string& message, uint32_t code,
-                             uint64_t retry_after_ms = 0);
+/// every failed request, and with a code of every connection-level and
+/// front-tier refusal (503 shed, 408 idle, 413 oversize, 501 refused
+/// verb).
+std::string RenderError(const std::string& message, uint32_t code = 0,
+                        uint64_t retry_after_ms = 0);
+
+/// \brief The `quit` verb's reply, `{"ok":true,"bye":true}` (no trailing
+/// newline), shared by the daemon and the fleet.
+std::string RenderQuitReply();
 
 /// \brief What a protocol plugs into a LineServer. Called from the
 /// transport's threads: ServeLine and OnWorkerIdle from worker `worker`
@@ -128,11 +133,11 @@ class LineHandler {
   /// worker serves: a place to apply latched signals between requests.
   virtual void OnTick() {}
   /// \brief The 408/413 reply a connection gets before it is closed
-  /// (RenderCodedError by default; the daemon also counts it as an
+  /// (RenderError by default; the daemon also counts it as an
   /// error). Called on the IO thread.
   virtual std::string ConnectionError(const std::string& message,
                                       uint32_t code) {
-    return RenderCodedError(message, code);
+    return RenderError(message, code);
   }
 
  protected:

@@ -34,6 +34,7 @@
 #include "common/fs_util.h"
 #include "core/incremental.h"
 #include "core/model_store.h"
+#include "core/model_shard.h"
 #include "core/ocular_recommender.h"
 #include "data/loaders.h"
 #include "serving/batch.h"
@@ -356,34 +357,113 @@ TEST(UpdateJournalTest, TornTailEndsTheReadablePrefix) {
 
 // ------------------------------------------- injected-fault update path
 
-TEST(UpdateFaultMatrixTest, EveryFaultFailsTheUpdateCleanlyAndServingSurvives) {
-  FaultGuard guard;
-  DaemonFixture f = DaemonFixture::Make("fault_matrix.oclr");
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
-  RequestServer server(&registry);  // journaling on by default
+/// The two update algorithms: a journaled retrain of a monolithic
+/// artifact, and a fold-in refresh of a 3-way user-range shardset.
+enum class Binding { kMonolithic, kSharded };
 
-  const std::string journal_path = UpdateJournal::PathFor(f.model_path);
-  const std::string tmp_path = f.model_path + ".update.tmp";
-  const std::string base_bytes = ReadFileBytes(f.model_path);
-  const char* kUpdateRequest =
-      R"({"cmd":"update","adds":[[50,0],[50,7]],"sweeps":2})";
+/// DaemonFixture's model served under either binding. `path` is what the
+/// registry binds; `files` lists every file an update may rewrite (the
+/// artifact, or the manifest plus every member).
+struct BoundModel {
+  DaemonFixture f;
+  Binding binding;
+  std::string path;
+  std::vector<std::string> files;
+
+  static BoundModel Make(const std::string& stem, Binding binding) {
+    BoundModel b{DaemonFixture::Make(stem + ".oclr"), binding, "", {}};
+    if (binding == Binding::kMonolithic) {
+      b.path = b.f.model_path;
+      b.files = {b.path};
+      return b;
+    }
+    b.path = TempPath(stem + ".shardset");
+    auto store = ModelStore::Open(b.f.model_path);
+    EXPECT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_TRUE(SaveModelSharded(store->meta(), store->user_factors(),
+                                 store->item_factors(),
+                                 store->item_factors_t(), 3, b.path)
+                    .ok());
+    auto manifest = LoadShardSetManifest(b.path);
+    EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+    b.files = {b.path, ShardSetResolve(b.path, manifest->items_file)};
+    for (const ShardSetEntry& shard : manifest->shards) {
+      b.files.push_back(ShardSetResolve(b.path, shard.file));
+    }
+    return b;
+  }
+
+  /// The bytes of every file, concatenated.
+  std::string Snapshot() const {
+    std::string bytes;
+    for (const std::string& file : files) bytes += ReadFileBytes(file);
+    return bytes;
+  }
+
+  /// True when any publish left its tmp file behind.
+  bool AnyTmpLeft() const {
+    for (const std::string& file : files) {
+      if (FileExists(file + ".update.tmp")) return true;
+    }
+    return false;
+  }
+
+  void Cleanup() const {
+    for (const std::string& file : files) std::remove(file.c_str());
+    f.Cleanup();
+  }
+};
+
+class UpdateFaultMatrixTest : public ::testing::TestWithParam<Binding> {
+ protected:
+  /// A catalog-growing retrain for the artifact; for the shardset, adds
+  /// confined to shard 0 (users 2 and 3 of the 50-user, 3-way split).
+  const char* UpdateRequest() const {
+    return GetParam() == Binding::kMonolithic
+               ? R"({"cmd":"update","adds":[[50,0],[50,7]],"sweeps":2})"
+               : R"({"cmd":"update","adds":[[2,1],[3,9]],"sweeps":2})";
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Bindings, UpdateFaultMatrixTest,
+    ::testing::Values(Binding::kMonolithic, Binding::kSharded),
+    [](const ::testing::TestParamInfo<Binding>& info) {
+      return info.param == Binding::kMonolithic ? "Monolithic" : "Sharded";
+    });
+
+TEST_P(UpdateFaultMatrixTest, EveryFaultFailsTheUpdateCleanlyAndServingSurvives) {
+  FaultGuard guard;
+  const bool sharded = GetParam() == Binding::kSharded;
+  BoundModel b = BoundModel::Make("fault_matrix", GetParam());
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", b.path, b.f.shared_train()).ok());
+  RequestServer server(&registry);
+
+  const std::string journal_path = UpdateJournal::PathFor(b.path);
+  const std::string base_bytes = b.Snapshot();
+  const uint64_t base_generation = registry.generation();
 
   struct Case {
     const char* point;
     bool leaves_pending;  // journal.fsync: the record may have survived
   };
-  const Case kCases[] = {
-      {"journal.append", false}, {"journal.fsync", true},
-      {"store.write", false},    {"store.fsync", false},
-      {"store.rename", false},   {"update.apply", false},
-  };
-  for (const Case& c : kCases) {
+  // Sharded updates keep no journal, so only the publish and entry
+  // points can fire on them.
+  std::vector<Case> cases = {{"store.write", false},
+                             {"store.fsync", false},
+                             {"store.rename", false},
+                             {"update.apply", false}};
+  if (!sharded) {
+    cases.push_back({"journal.append", false});
+    cases.push_back({"journal.fsync", true});
+  }
+  for (const Case& c : cases) {
     SCOPED_TRACE(c.point);
     std::remove(journal_path.c_str());
     ASSERT_TRUE(fault::Configure(std::string(c.point) + "=1").ok());
 
-    auto reply = JsonValue::Parse(server.HandleLine(kUpdateRequest));
+    auto reply = JsonValue::Parse(server.HandleLine(UpdateRequest()));
     ASSERT_TRUE(reply.ok());
     EXPECT_FALSE(reply->Find("ok")->boolean());
     // The injected error is greppable in the reply.
@@ -392,19 +472,28 @@ TEST(UpdateFaultMatrixTest, EveryFaultFailsTheUpdateCleanlyAndServingSurvives) {
               std::string::npos);
     EXPECT_EQ(fault::Hits(c.point), 1u);
 
-    // No torn state anywhere: nothing published, no stray tmp file, the
-    // artifact is byte-identical to before the attempt.
+    // No torn state anywhere: nothing published, no stray tmp file, every
+    // file byte-identical to before the attempt.
     EXPECT_EQ(server.Stats().updates, 0u);
-    EXPECT_FALSE(FileExists(tmp_path));
-    EXPECT_EQ(ReadFileBytes(f.model_path), base_bytes);
+    EXPECT_EQ(registry.generation(), base_generation);
+    EXPECT_FALSE(b.AnyTmpLeft());
+    EXPECT_EQ(b.Snapshot(), base_bytes);
 
-    // The journal's verdict matches the failure mode: a clean failure
-    // aborts the record; an ambiguous journal fsync leaves it pending
-    // (recovery resolves it by fingerprint — at-least-once, never lost).
-    auto plan = UpdateJournal::LoadPlan(journal_path);
-    ASSERT_TRUE(plan.ok());
-    EXPECT_TRUE(plan->applied.empty());
-    EXPECT_EQ(plan->has_pending, c.leaves_pending);
+    if (sharded) {
+      // The set on disk still opens: no member disagrees with the
+      // manifest.
+      auto reopened = OpenShardSet(b.path);
+      EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+    } else {
+      // The journal's verdict matches the failure mode: a clean failure
+      // aborts the record; an ambiguous journal fsync leaves it pending
+      // (recovery resolves it by fingerprint — at-least-once, never
+      // lost).
+      auto plan = UpdateJournal::LoadPlan(journal_path);
+      ASSERT_TRUE(plan.ok());
+      EXPECT_TRUE(plan->applied.empty());
+      EXPECT_EQ(plan->has_pending, c.leaves_pending);
+    }
 
     // The daemon is unharmed: the very next recommend answers.
     auto ok = JsonValue::Parse(
@@ -416,40 +505,57 @@ TEST(UpdateFaultMatrixTest, EveryFaultFailsTheUpdateCleanlyAndServingSurvives) {
 
   // With every fault cleared the same update goes through end to end.
   std::remove(journal_path.c_str());
-  auto reply = JsonValue::Parse(server.HandleLine(kUpdateRequest));
+  auto reply = JsonValue::Parse(server.HandleLine(UpdateRequest()));
   ASSERT_TRUE(reply.ok());
   EXPECT_TRUE(reply->Find("ok")->boolean());
   EXPECT_EQ(server.Stats().updates, 1u);
+  EXPECT_GT(registry.generation(), base_generation);
+  EXPECT_FALSE(b.AnyTmpLeft());
   auto plan = UpdateJournal::LoadPlan(journal_path);
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->applied.size(), 1u);
+  EXPECT_EQ(plan->applied.size(), sharded ? 0u : 1u);
   EXPECT_FALSE(plan->has_pending);
-  f.Cleanup();
+  if (sharded) {
+    auto reopened = OpenShardSet(b.path);
+    EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+  }
+  b.Cleanup();
 }
 
-TEST(UpdateFaultMatrixTest, DirsyncFailureAfterRenameStillPublishes) {
+TEST_P(UpdateFaultMatrixTest, DirsyncFailureAfterRenameStillPublishes) {
   // DurableRename's dirsync comes AFTER the rename: when only it fails,
-  // the artifact has already moved, so the update must report success and
-  // the journal must commit — recovery must never replay an update that
-  // clients can already observe.
+  // the file has already moved, so the update must report success — the
+  // journal must commit (recovery must never replay an update that
+  // clients can already observe), and a shardset must go on to publish
+  // its manifest instead of leaving a member the manifest disowns.
   FaultGuard guard;
-  DaemonFixture f = DaemonFixture::Make("fault_dirsync.oclr");
+  const bool sharded = GetParam() == Binding::kSharded;
+  BoundModel b = BoundModel::Make("fault_dirsync", GetParam());
   ModelRegistry registry;
-  ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
+  ASSERT_TRUE(registry.Load("default", b.path, b.f.shared_train()).ok());
   RequestServer server(&registry);
   ASSERT_TRUE(fault::Configure("store.dirsync=1").ok());
 
-  auto reply = JsonValue::Parse(server.HandleLine(
-      R"({"cmd":"update","adds":[[50,0]],"sweeps":2})"));
+  auto reply = JsonValue::Parse(server.HandleLine(UpdateRequest()));
   ASSERT_TRUE(reply.ok());
-  EXPECT_TRUE(reply->Find("ok")->boolean());
+  EXPECT_TRUE(reply->Find("ok")->boolean()) << reply->Find("error")->string();
   EXPECT_EQ(fault::Hits("store.dirsync"), 1u);
   EXPECT_EQ(server.Stats().updates, 1u);
-  auto plan = UpdateJournal::LoadPlan(UpdateJournal::PathFor(f.model_path));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->applied.size(), 1u);
-  EXPECT_FALSE(plan->has_pending);
-  f.Cleanup();
+  EXPECT_FALSE(b.AnyTmpLeft());
+  if (sharded) {
+    auto reopened = OpenShardSet(b.path);
+    EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+    auto reload = JsonValue::Parse(server.HandleLine(R"({"cmd":"reload"})"));
+    ASSERT_TRUE(reload.ok());
+    EXPECT_TRUE(reload->Find("ok")->boolean())
+        << reload->Find("error")->string();
+  } else {
+    auto plan = UpdateJournal::LoadPlan(UpdateJournal::PathFor(b.path));
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(plan->applied.size(), 1u);
+    EXPECT_FALSE(plan->has_pending);
+  }
+  b.Cleanup();
 }
 
 // ------------------------------------------------- crash-window recovery
@@ -475,7 +581,7 @@ TEST(JournalRecoveryTest, CrashBeforeRenameReplaysBitIdentically) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
   RequestServer server(&registry);
-  auto recovered = server.RecoverJournal("default");
+  auto recovered = server.updater().RecoverJournal("default");
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(recovered->replayed_pending);
   EXPECT_FALSE(recovered->healed_commit);
@@ -501,7 +607,7 @@ TEST(JournalRecoveryTest, CrashBeforeRenameReplaysBitIdentically) {
   ModelRegistry registry2;
   ASSERT_TRUE(registry2.Load("default", f.model_path, f.shared_train()).ok());
   RequestServer server2(&registry2);
-  auto again = server2.RecoverJournal("default");
+  auto again = server2.updater().RecoverJournal("default");
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_FALSE(again->replayed_pending);
   EXPECT_EQ(again->applied_merged, 1u);
@@ -535,7 +641,7 @@ TEST(JournalRecoveryTest, PublishedButUncommittedUpdateHealsTheCommit) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
   RequestServer server(&registry);
-  auto recovered = server.RecoverJournal("default");
+  auto recovered = server.updater().RecoverJournal("default");
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(recovered->healed_commit);
   EXPECT_FALSE(recovered->replayed_pending);
@@ -566,11 +672,46 @@ TEST(JournalRecoveryTest, RecordsWithoutABoundDatasetRefuseRecovery) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Load("default", f.model_path).ok());  // no dataset
   RequestServer server(&registry);
-  auto recovered = server.RecoverJournal("default");
+  auto recovered = server.updater().RecoverJournal("default");
   ASSERT_FALSE(recovered.ok());
   EXPECT_NE(recovered.status().ToString().find("no bound dataset"),
             std::string::npos);
   f.Cleanup();
+}
+
+TEST(JournalRecoveryTest, PoisonedPendingRecordFailsRecoveryInsteadOfCrashing) {
+  // A record journaled by a build that accepted an id of UINT32_MAX (its
+  // +1 wraps the shape to 0) must make recovery refuse, never replay: the
+  // retrain would read past the factors and crash on every restart.
+  const std::vector<std::pair<uint32_t, uint32_t>> kPoisoned[] = {
+      {{3, UINT32_MAX}}, {{UINT32_MAX, 0}}};
+  for (const auto& adds : kPoisoned) {
+    DaemonFixture f = DaemonFixture::Make("fault_poison.oclr");
+    auto fingerprint = fs::FileFingerprint(f.model_path);
+    ASSERT_TRUE(fingerprint.ok());
+    UpdateJournal journal;
+    ASSERT_TRUE(journal.Open(UpdateJournal::PathFor(f.model_path)).ok());
+    ASSERT_TRUE(
+        journal.AppendUpdate(MakeRecord(*fingerprint, adds, 50, 30)).ok());
+    journal.Close();
+    const std::string artifact_bytes = ReadFileBytes(f.model_path);
+
+    ModelRegistry registry;
+    ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
+    RequestServer server(&registry);
+    auto recovered = server.updater().RecoverJournal("default");
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_NE(recovered.status().ToString().find("4294967295"),
+              std::string::npos)
+        << recovered.status().ToString();
+    // Nothing was published and the record stays for the operator.
+    EXPECT_EQ(ReadFileBytes(f.model_path), artifact_bytes);
+    EXPECT_EQ(server.Stats().journal_replays, 0u);
+    auto plan = UpdateJournal::LoadPlan(UpdateJournal::PathFor(f.model_path));
+    ASSERT_TRUE(plan.ok());
+    EXPECT_TRUE(plan->has_pending);
+    f.Cleanup();
+  }
 }
 
 // --------------------------------------------------- connection guards

@@ -33,6 +33,7 @@
 #include "serving/batch.h"
 #include "sparse/coo.h"
 #include "serving/daemon.h"
+#include "serving/journal.h"
 #include "serving/loadgen.h"
 #include "serving/net_util.h"
 #include "serving/registry.h"
@@ -888,6 +889,7 @@ TEST(FoldInServingTest, EmptyOrFullyOutOfRangeHistoryFallsBackToPopularity) {
 
 TEST(FoldInServingTest, MalformedHistoryAndUpdateRequestsAnswerErrors) {
   DaemonFixture f = DaemonFixture::Make("daemon_foldin_err.oclr");
+  std::remove(UpdateJournal::PathFor(f.model_path).c_str());
   ModelRegistry registry;
   ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
   // "nodata": same model without a bound dataset — updates must refuse.
@@ -921,14 +923,22 @@ TEST(FoldInServingTest, MalformedHistoryAndUpdateRequestsAnswerErrors) {
            std::string(R"({"cmd":"update","adds":[[1,2]],"sweeps":0})"),
            std::string(R"({"cmd":"update","adds":[[1,2]],"model":"absent"})"),
            std::string(R"({"cmd":"update","adds":[[1,2]],"model":"nodata"})"),
+           // ids whose +1 overflows the shape: refused before the journal
+           std::string(R"({"cmd":"update","adds":[[3,4294967295]]})"),
+           std::string(R"({"cmd":"update","adds":[[4294967295,0]]})"),
        }) {
     auto err = JsonValue::Parse(server.HandleLine(bad));
     ASSERT_TRUE(err.ok()) << bad;
     EXPECT_FALSE(err->Find("ok")->boolean()) << bad;
     EXPECT_NE(err->Find("error"), nullptr) << bad;
   }
-  // No update may have landed: same registry generation throughout.
+  // No update may have landed: same registry generation throughout, and
+  // nothing was journaled for a restart to replay.
   EXPECT_EQ(server.Stats().updates, 0u);
+  auto plan = UpdateJournal::LoadPlan(UpdateJournal::PathFor(f.model_path));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(plan->applied.empty());
+  EXPECT_FALSE(plan->has_pending);
   std::remove(f.model_path.c_str());
   std::remove(dot_path.c_str());
 }

@@ -233,7 +233,7 @@ TEST(ShardMapTest, RouteIsTotalAndStableAcrossRoundTrip) {
 // --------------------------------------------------- save/open round trip
 
 TEST(ShardSetTest, SaveOpenRoundTripSharesItemsAndSlicesUsers) {
-  ShardedFixture f = ShardedFixture::Make("round_trip", 3);
+  ShardedFixture f = ShardedFixture::Make("shard_round_trip", 3);
   auto mono = ModelStore::Open(f.mono_path);
   ASSERT_TRUE(mono.ok());
   auto set = OpenShardSet(f.manifest_path);
@@ -365,7 +365,7 @@ TEST(ShardSetTest, CorruptionMatrixEachClassHasADistinctError) {
 // ------------------------------------------------------- serving parity
 
 TEST(ShardedStoreRecommenderTest, BitIdenticalToMonolithicStore) {
-  ShardedFixture f = ShardedFixture::Make("parity", 4, 61, 33);
+  ShardedFixture f = ShardedFixture::Make("shard_parity", 4, 61, 33);
   auto mono = ModelStore::Open(f.mono_path);
   ASSERT_TRUE(mono.ok());
   auto set = OpenShardSet(f.manifest_path);
@@ -543,7 +543,7 @@ TEST(DaemonShardedTest, MonolithicRepliesCarryNoShardField) {
 }
 
 TEST(DaemonShardedTest, UpdateRepublishesOnlyTheTouchedShard) {
-  ShardedFixture f = ShardedFixture::Make("daemon_update", 3);
+  ShardedFixture f = ShardedFixture::Make("shard_daemon_update", 3);
   ModelRegistry registry;
   ASSERT_TRUE(
       registry.Load("default", f.manifest_path, f.shared_train()).ok());

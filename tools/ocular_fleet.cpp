@@ -209,54 +209,26 @@ int Run(int argc, char** argv) {
 
   FleetServer::Options options;
   options.replicas = replicas;
-  const int64_t workers = flags.GetInt("workers", 4);
-  if (workers < 1 || workers > 4096) {
-    std::fprintf(stderr, "--workers must be in [1, 4096]\n");
+  Status bad_flag;  // the first out-of-range flag
+  options.num_workers = flags.GetIntInRange("workers", 4, 1, 4096, &bad_flag);
+  options.accept_queue =
+      flags.GetIntInRange("accept-queue", 128, 1, 1 << 20, &bad_flag);
+  options.io_timeout_ms = static_cast<uint32_t>(
+      flags.GetIntInRange("io-timeout-ms", 1000, 1, 3600000, &bad_flag));
+  options.hedge_after_ms = static_cast<uint32_t>(
+      flags.GetIntInRange("hedge-after-ms", 0, 0, 3600000, &bad_flag));
+  options.probe_interval_ms = static_cast<uint32_t>(
+      flags.GetIntInRange("probe-interval-ms", 200, 10, 60000, &bad_flag));
+  options.retry_after_ms = static_cast<uint32_t>(
+      flags.GetIntInRange("retry-after-ms", 100, 1, 60000, &bad_flag));
+  options.health.fail_threshold = static_cast<uint32_t>(
+      flags.GetIntInRange("fail-threshold", 3, 1, 1000, &bad_flag));
+  options.health.reopen_after_ms = static_cast<uint32_t>(
+      flags.GetIntInRange("reopen-after-ms", 500, 10, 600000, &bad_flag));
+  if (!bad_flag.ok()) {
+    std::fprintf(stderr, "%s\n", bad_flag.message().c_str());
     return 1;
   }
-  options.num_workers = static_cast<size_t>(workers);
-  const int64_t accept_queue = flags.GetInt("accept-queue", 128);
-  if (accept_queue < 1 || accept_queue > 1 << 20) {
-    std::fprintf(stderr, "--accept-queue must be in [1, 1048576]\n");
-    return 1;
-  }
-  options.accept_queue = static_cast<size_t>(accept_queue);
-  const int64_t io_timeout_ms = flags.GetInt("io-timeout-ms", 1000);
-  if (io_timeout_ms < 1 || io_timeout_ms > 3600000) {
-    std::fprintf(stderr, "--io-timeout-ms must be in [1, 3600000]\n");
-    return 1;
-  }
-  options.io_timeout_ms = static_cast<uint32_t>(io_timeout_ms);
-  const int64_t hedge_after_ms = flags.GetInt("hedge-after-ms", 0);
-  if (hedge_after_ms < 0 || hedge_after_ms > 3600000) {
-    std::fprintf(stderr, "--hedge-after-ms must be in [0, 3600000]\n");
-    return 1;
-  }
-  options.hedge_after_ms = static_cast<uint32_t>(hedge_after_ms);
-  const int64_t probe_interval_ms = flags.GetInt("probe-interval-ms", 200);
-  if (probe_interval_ms < 10 || probe_interval_ms > 60000) {
-    std::fprintf(stderr, "--probe-interval-ms must be in [10, 60000]\n");
-    return 1;
-  }
-  options.probe_interval_ms = static_cast<uint32_t>(probe_interval_ms);
-  const int64_t retry_after_ms = flags.GetInt("retry-after-ms", 100);
-  if (retry_after_ms < 1 || retry_after_ms > 60000) {
-    std::fprintf(stderr, "--retry-after-ms must be in [1, 60000]\n");
-    return 1;
-  }
-  options.retry_after_ms = static_cast<uint32_t>(retry_after_ms);
-  const int64_t fail_threshold = flags.GetInt("fail-threshold", 3);
-  if (fail_threshold < 1 || fail_threshold > 1000) {
-    std::fprintf(stderr, "--fail-threshold must be in [1, 1000]\n");
-    return 1;
-  }
-  options.health.fail_threshold = static_cast<uint32_t>(fail_threshold);
-  const int64_t reopen_after_ms = flags.GetInt("reopen-after-ms", 500);
-  if (reopen_after_ms < 10 || reopen_after_ms > 600000) {
-    std::fprintf(stderr, "--reopen-after-ms must be in [10, 600000]\n");
-    return 1;
-  }
-  options.health.reopen_after_ms = static_cast<uint32_t>(reopen_after_ms);
 
   FleetServer fleet(options);
   LineServer::InstallShutdownSignalHandler();

@@ -115,65 +115,32 @@ inline int RunServeCommand(const Flags& flags) {
     return 1;
   }
   RequestServer::Options options;
+  Status bad_flag;  // the first out-of-range flag
   options.serve.m = static_cast<uint32_t>(flags.GetInt("m", 50));
-  const int64_t workers = flags.GetInt("workers", 0);
-  if (workers < 0 || workers > 4096) {
-    std::fprintf(stderr, "--workers must be in [0, 4096] (0 = one per "
-                         "hardware thread)\n");
+  // 0 = one per hardware thread
+  options.num_workers = flags.GetIntInRange("workers", 0, 0, 4096, &bad_flag);
+  options.accept_queue =
+      flags.GetIntInRange("accept-queue", 128, 1, 1 << 20, &bad_flag);
+  options.max_connections =  // 0 = unlimited
+      flags.GetIntInRange("max-connections", 0, 0, 1 << 20, &bad_flag);
+  options.max_outbound_bytes = flags.GetIntInRange(
+      "max-outbound-bytes", 8 << 20, 64 << 10, 1 << 30, &bad_flag);
+  options.update_sweeps = static_cast<uint32_t>(
+      flags.GetIntInRange("update-sweeps", 5, 1, 100000, &bad_flag));
+  options.max_request_bytes = flags.GetIntInRange(
+      "max-request-bytes", 1 << 20, 1024, 1 << 30, &bad_flag);
+  options.io_timeout_ms = static_cast<uint32_t>(
+      flags.GetIntInRange("io-timeout-ms", 1000, 0, 3600000, &bad_flag));
+  options.idle_timeout_ms = static_cast<uint32_t>(
+      flags.GetIntInRange("idle-timeout-ms", 30000, 0, 86400000, &bad_flag));
+  options.retry_after_ms = static_cast<uint32_t>(
+      flags.GetIntInRange("retry-after-ms", 50, 1, 60000, &bad_flag));
+  // 0 = stdio
+  const int64_t port = flags.GetIntInRange("port", 0, 0, 65535, &bad_flag);
+  if (!bad_flag.ok()) {
+    std::fprintf(stderr, "%s\n", bad_flag.message().c_str());
     return 1;
   }
-  options.num_workers = static_cast<size_t>(workers);
-  const int64_t accept_queue = flags.GetInt("accept-queue", 128);
-  if (accept_queue < 1 || accept_queue > 1 << 20) {
-    std::fprintf(stderr, "--accept-queue must be in [1, 1048576]\n");
-    return 1;
-  }
-  options.accept_queue = static_cast<size_t>(accept_queue);
-  const int64_t max_connections = flags.GetInt("max-connections", 0);
-  if (max_connections < 0 || max_connections > 1 << 20) {
-    std::fprintf(stderr,
-                 "--max-connections must be in [0, 1048576] (0 = unlimited)\n");
-    return 1;
-  }
-  options.max_connections = static_cast<size_t>(max_connections);
-  const int64_t max_outbound_bytes =
-      flags.GetInt("max-outbound-bytes", 8 << 20);
-  if (max_outbound_bytes < (64 << 10) || max_outbound_bytes > (1 << 30)) {
-    std::fprintf(stderr, "--max-outbound-bytes must be in [65536, 2^30]\n");
-    return 1;
-  }
-  options.max_outbound_bytes = static_cast<size_t>(max_outbound_bytes);
-  const int64_t update_sweeps = flags.GetInt("update-sweeps", 5);
-  if (update_sweeps < 1 || update_sweeps > 100000) {
-    std::fprintf(stderr, "--update-sweeps must be in [1, 100000]\n");
-    return 1;
-  }
-  options.update_sweeps = static_cast<uint32_t>(update_sweeps);
-  const int64_t max_request_bytes =
-      flags.GetInt("max-request-bytes", 1 << 20);
-  if (max_request_bytes < 1024 || max_request_bytes > (1 << 30)) {
-    std::fprintf(stderr, "--max-request-bytes must be in [1024, 2^30]\n");
-    return 1;
-  }
-  options.max_request_bytes = static_cast<size_t>(max_request_bytes);
-  const int64_t io_timeout_ms = flags.GetInt("io-timeout-ms", 1000);
-  if (io_timeout_ms < 0 || io_timeout_ms > 3600000) {
-    std::fprintf(stderr, "--io-timeout-ms must be in [0, 3600000]\n");
-    return 1;
-  }
-  options.io_timeout_ms = static_cast<uint32_t>(io_timeout_ms);
-  const int64_t idle_timeout_ms = flags.GetInt("idle-timeout-ms", 30000);
-  if (idle_timeout_ms < 0 || idle_timeout_ms > 86400000) {
-    std::fprintf(stderr, "--idle-timeout-ms must be in [0, 86400000]\n");
-    return 1;
-  }
-  options.idle_timeout_ms = static_cast<uint32_t>(idle_timeout_ms);
-  const int64_t retry_after_ms = flags.GetInt("retry-after-ms", 50);
-  if (retry_after_ms < 1 || retry_after_ms > 60000) {
-    std::fprintf(stderr, "--retry-after-ms must be in [1, 60000]\n");
-    return 1;
-  }
-  options.retry_after_ms = static_cast<uint32_t>(retry_after_ms);
   RequestServer server(&registry, options);
   RequestServer::InstallReloadSignalHandler();
   LineServer::InstallShutdownSignalHandler();
@@ -184,10 +151,10 @@ inline int RunServeCommand(const Flags& flags) {
   // Crash recovery before the first request: re-merge journaled update
   // deltas into each model's training base, and resolve any update the
   // previous incarnation crashed inside (replay or heal — see
-  // RequestServer::RecoverJournal). Refusing to serve on a recovery error
+  // Updater::RecoverJournal). Refusing to serve on a recovery error
   // beats silently serving a model that is missing acked updates.
   for (const std::string& name : registry.Names()) {
-    auto recovered = server.RecoverJournal(name);
+    auto recovered = server.updater().RecoverJournal(name);
     if (!recovered.ok()) {
       std::fprintf(stderr, "journal recovery for '%s' failed: %s\n",
                    name.c_str(), recovered.status().ToString().c_str());
@@ -206,11 +173,6 @@ inline int RunServeCommand(const Flags& flags) {
     }
   }
 
-  const int64_t port = flags.GetInt("port", 0);
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "--port must be in [1, 65535] (0 = stdio)\n");
-    return 1;
-  }
   for (const std::string& name : registry.Names()) {
     auto model = registry.Get(name);
     std::fprintf(stderr,
