@@ -1,17 +1,27 @@
 #ifndef OCULAR_CORE_INCREMENTAL_H_
 #define OCULAR_CORE_INCREMENTAL_H_
 
+#include <cstdint>
+#include <span>
+#include <utility>
+
 #include "common/result.h"
 #include "core/ocular_trainer.h"
 
 namespace ocular {
 
-/// Incremental model maintenance for a live deployment (Section VIII):
-/// new clients sign up, new products launch, and new purchases arrive
-/// daily — retraining from scratch wastes the previous solution. This
-/// module grows a fitted model to a larger catalog and warm-starts the
-/// trainer from it, which converges in a fraction of the cold-start
-/// sweeps (verified in tests and the deployment example).
+/// \file
+/// \brief Incremental model maintenance for a live deployment (Section
+/// VIII): new clients sign up, new products launch, and new purchases
+/// arrive daily — retraining from scratch wastes the previous solution.
+///
+/// Two ways to fold new interactions into a fitted model:
+/// - RefreshModel, the online path behind the serving daemon's `update`:
+///   grows the model and re-solves only the rows the new interactions
+///   touch, O(touched nnz·K) per round. Every other row keeps its bytes.
+/// - UpdateModel, the offline warm start: grows the model and runs full
+///   trainer sweeps from it, which converge in a fraction of the
+///   cold-start sweeps (verified in tests and the deployment example).
 
 /// Options for growing a model to a new shape.
 struct ExpandOptions {
@@ -38,6 +48,38 @@ uint64_t DeriveExpandSeed(uint32_t old_users, uint32_t old_items,
 Result<OcularModel> ExpandModel(const OcularModel& model, uint32_t num_users,
                                 uint32_t num_items,
                                 const ExpandOptions& options = {});
+
+/// \brief What one RefreshModel call re-solved.
+struct RefreshStats {
+  /// Refresh rounds run (config.max_sweeps).
+  uint32_t rounds = 0;
+  /// Item rows re-solved each round: items named by an add, plus new rows.
+  uint32_t items_refreshed = 0;
+  /// User rows re-solved each round: users named by an add, plus new rows.
+  uint32_t users_refreshed = 0;
+};
+
+/// \brief Local block-coordinate refresh: folds `adds` into `*model` in
+/// place, touching only the rows the adds name.
+///
+/// `interactions` is the training matrix with `adds` already merged; the
+/// model grows to its shape exactly as ExpandModel grows it (same stream,
+/// same `options`), with the bias coordinates of new rows pinned as
+/// UpdateModel pins them. Then `config.max_sweeps` rounds each run the
+/// trainer's projected-gradient block updates (config.block_steps per
+/// row) on the touched items — items named by an add, plus new item
+/// rows — and then on the touched users, named by an add or new.
+///
+/// Σ_u f_u and Σ_i f_i are summed once and kept exact by subtracting each
+/// row's old value and adding its new one, so a round costs
+/// O(touched nnz·K). The users of the touched items come from one scan
+/// of `interactions`; nothing is transposed and Q is never evaluated.
+/// Every untouched row stays byte-identical, and the same inputs give the
+/// same bytes (journal replay relies on it).
+Result<RefreshStats> RefreshModel(
+    OcularModel* model, const CsrMatrix& interactions,
+    std::span<const std::pair<uint32_t, uint32_t>> adds,
+    const OcularConfig& config, const ExpandOptions& options = {});
 
 /// Warm-start update: grows `model` to the shape of `interactions` (which
 /// may contain new users/items appended after the old id range) and runs

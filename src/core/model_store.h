@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/result.h"
 #include "core/model_io.h"
@@ -147,8 +148,11 @@ class ModelStore {
   uint32_t num_items() const { return num_items_; }
   /// Factor dimension (bias dims included).
   uint32_t k() const { return meta_.k; }
-  /// Path the store was opened from.
+  /// Path of the mapped file: where it was opened, or set_path's.
   const std::string& path() const { return path_; }
+  /// \brief Records that the mapped file now lives at `path`: a rename
+  /// moves the name, and the mapping stays bound to the same inode.
+  void set_path(std::string path) { path_ = std::move(path); }
   /// Total bytes mapped (the file size).
   size_t mapped_bytes() const { return mapped_bytes_; }
 

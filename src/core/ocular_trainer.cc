@@ -298,12 +298,9 @@ std::vector<double> OcularTrainer::UserWeights(
     const CsrMatrix& interactions) const {
   std::vector<double> w(interactions.num_rows(), 1.0);
   if (config_.variant != OcularVariant::kRelative) return w;
-  const double n_items = interactions.num_cols();
   for (uint32_t u = 0; u < interactions.num_rows(); ++u) {
-    const double pos = interactions.RowDegree(u);
-    // w_u = |{i: r_ui = 0}| / |{i: r_ui = 1}|. Users with no positives
-    // contribute no positive terms; leave their (unused) weight at 1.
-    if (pos > 0.0) w[u] = (n_items - pos) / pos;
+    w[u] = internal::RelativeUserWeight(interactions.num_cols(),
+                                        interactions.RowDegree(u));
   }
   return w;
 }

@@ -126,6 +126,15 @@ class OcularTrainer {
 
 namespace internal {
 
+/// The R-OCuLaR weight w_u = |{i: r_ui=0}| / |{i: r_ui=1}| of a user with
+/// `positives` of `num_items` items (1 for a user with no positives, whose
+/// weight multiplies nothing).
+inline double RelativeUserWeight(uint32_t num_items, uint32_t positives) {
+  if (positives == 0) return 1.0;
+  const double pos = positives;
+  return (static_cast<double>(num_items) - pos) / pos;
+}
+
 /// Reusable scratch for one block update. All heap storage the kernels need
 /// lives here; after Reserve() the kernels perform ZERO allocations per
 /// block update (verified by an allocator hook in tests), so one workspace

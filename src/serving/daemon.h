@@ -143,7 +143,8 @@ double MergedPercentile(std::vector<double>* samples, double p);
 /// (the reply's "folded" flag says which path answered). `update` parses
 /// interaction deltas (`adds` pairs, optionally growing the catalog) and
 /// hands them to the server's Updater (serving/updater.h): a journaled
-/// warm-start retrain of a monolithic model, or a fold-in refresh of the
+/// local refresh of a monolithic model's touched rows (RefreshModel), or
+/// a fold-in refresh of the
 /// touched users of a shardset, persisted by the durable publish (write
 /// tmp, fsync, verify, rename, directory sync) and swapped in through the
 /// registry generation — in-flight requests keep their lease, workers
@@ -180,9 +181,10 @@ class RequestServer : private LineHandler {
     ServeOptions serve;
     /// Fold-in solver settings for `history` requests.
     FoldInOptions fold_in;
-    /// Default refresh sweeps of an `update` retrain (a request's own
-    /// "sweeps" field overrides). A handful suffices: the old factors are
-    /// already near-stationary (see core/incremental.h).
+    /// Default refresh rounds of an `update` over its touched rows (a
+    /// request's own "sweeps" field overrides). A handful suffices: the
+    /// untouched rows are already near-stationary (see
+    /// core/incremental.h).
     uint32_t update_sweeps = 5;
     /// Latency samples kept per worker for the p50/p99 report.
     size_t latency_window = 4096;

@@ -14,10 +14,10 @@ namespace ocular {
 /// \brief The update journal: a durable write-ahead log of `update` verbs.
 ///
 /// The daemon's in-place update pipeline (serving/updater.h, Updater::Apply)
-/// acks an update only after the retrained artifact is renamed over the
+/// acks an update only after the refreshed artifact is renamed over the
 /// model file. Two crash windows would still lose state without a log:
 ///
-///   1. Crash between journal-append and artifact rename: the retrain
+///   1. Crash between journal-append and artifact rename: the refresh
 ///      never published. The journal's trailing *pending* record carries
 ///      everything needed to replay it deterministically (adds, dims,
 ///      sweeps, seed) plus the fingerprint of the artifact it was based
@@ -53,8 +53,8 @@ namespace ocular {
 
 /// \brief One `update` verb as journaled: the full recipe to re-run it.
 struct UpdateRecord {
-  /// fs::FileFingerprint of the artifact this update retrained FROM,
-  /// taken before the retrain. Recovery compares it against the live
+  /// fs::FileFingerprint of the artifact this update refreshed FROM,
+  /// taken before the refresh. Recovery compares it against the live
   /// artifact to decide replay (equal: the rename never happened) vs
   /// heal (different: the rename published, only the commit is missing).
   uint64_t base_fingerprint = 0;
@@ -63,7 +63,7 @@ struct UpdateRecord {
   /// Final (post-growth) training dimensions the update resolved to.
   uint32_t num_users = 0;
   uint32_t num_items = 0;
-  /// Refresh sweeps of the warm-start retrain.
+  /// Refresh rounds over the touched rows (RefreshModel).
   uint32_t sweeps = 0;
   /// The interaction deltas.
   std::vector<std::pair<uint32_t, uint32_t>> adds;
@@ -75,7 +75,7 @@ struct UpdateRecord {
 class UpdateJournal {
  public:
   enum class RecordType : uint32_t {
-    kUpdate = 1,  ///< an update was received and is about to retrain
+    kUpdate = 1,  ///< an update was received and is about to refresh
     kCommit = 2,  ///< its artifact was renamed into place — adds are law
     kAbort = 3,   ///< it failed cleanly before the rename — adds are void
   };

@@ -38,10 +38,10 @@ void AttachFoldIn(ServableModel* servable, ConstMatrixView user_factors,
   }
 }
 
+/// Builds a monolithic servable around `store`, opened from `model_path`.
 Result<std::shared_ptr<const ServableModel>> BuildServable(
-    const std::string& name, const std::string& model_path,
+    const std::string& name, const std::string& model_path, ModelStore store,
     std::shared_ptr<const CsrMatrix> train) {
-  OCULAR_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(model_path));
   if (train != nullptr && train->num_cols() > store.num_items()) {
     return Status::InvalidArgument(
         "training matrix has more items than model '" + name + "'");
@@ -57,6 +57,15 @@ Result<std::shared_ptr<const ServableModel>> BuildServable(
                servable->store.item_factors(),
                servable->store.item_factors_t());
   return std::shared_ptr<const ServableModel>(std::move(servable));
+}
+
+/// Opens (and verifies) the store at `model_path`, then builds its
+/// monolithic servable.
+Result<std::shared_ptr<const ServableModel>> OpenServable(
+    const std::string& name, const std::string& model_path,
+    std::shared_ptr<const CsrMatrix> train) {
+  OCULAR_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(model_path));
+  return BuildServable(name, model_path, std::move(store), std::move(train));
 }
 
 /// Builds a sharded servable from `manifest_path`, aliasing every member
@@ -157,15 +166,32 @@ Status ModelRegistry::Load(const std::string& name,
                                        Get(name), &touched));
   } else {
     OCULAR_ASSIGN_OR_RETURN(servable,
-                            BuildServable(name, model_path, std::move(train)));
+                            OpenServable(name, model_path, std::move(train)));
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  models_[name] = std::move(servable);
   // One generation step per member actually reopened — the per-shard
   // swap. An explicit Load always publishes (the caller may be binding a
   // new dataset), so even a byte-identical shardset steps once.
-  generation_.fetch_add(std::max(touched, 1u), std::memory_order_acq_rel);
+  Publish(name, std::move(servable), std::max(touched, 1u));
   return Status::OK();
+}
+
+Status ModelRegistry::Adopt(const std::string& name,
+                            const std::string& model_path, ModelStore store,
+                            std::shared_ptr<const CsrMatrix> train) {
+  if (name.empty()) return Status::InvalidArgument("model name is empty");
+  OCULAR_ASSIGN_OR_RETURN(
+      auto servable,
+      BuildServable(name, model_path, std::move(store), std::move(train)));
+  Publish(name, std::move(servable), 1);
+  return Status::OK();
+}
+
+void ModelRegistry::Publish(const std::string& name,
+                            std::shared_ptr<const ServableModel> servable,
+                            uint32_t steps) {
+  std::lock_guard<std::mutex> lock(mu_);
+  models_[name] = std::move(servable);
+  generation_.fetch_add(steps, std::memory_order_acq_rel);
 }
 
 std::shared_ptr<const ServableModel> ModelRegistry::Get(
@@ -191,8 +217,8 @@ Status ModelRegistry::ReloadAll() {
         old_model->sharded
             ? BuildShardedServable(old_model->name, old_model->model_path,
                                    old_model->train, old_model, &touched)
-            : BuildServable(old_model->name, old_model->model_path,
-                            old_model->train);
+            : OpenServable(old_model->name, old_model->model_path,
+                           old_model->train);
     if (!rebuilt.ok()) {
       if (first_error.ok()) first_error = rebuilt.status();
       continue;  // keep serving the previous version
@@ -203,9 +229,7 @@ Status ModelRegistry::ReloadAll() {
       // and spare the workers a lease refresh.
       continue;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    models_[old_model->name] = std::move(rebuilt).value();
-    generation_.fetch_add(touched, std::memory_order_acq_rel);
+    Publish(old_model->name, std::move(rebuilt).value(), touched);
   }
   return first_error;
 }

@@ -131,6 +131,15 @@ class ModelRegistry {
   Status Load(const std::string& name, const std::string& model_path,
               std::shared_ptr<const CsrMatrix> train = nullptr);
 
+  /// \brief Publishes `store`, already opened (and checksum-verified)
+  /// from the file now at `model_path`, as the monolithic model `name` —
+  /// what Load(name, model_path, train) does after its own open, without
+  /// mapping and verifying the file a second time. The update pipeline
+  /// hands over the mapping it verified before renaming the file into
+  /// place; reloads re-open from `model_path`.
+  Status Adopt(const std::string& name, const std::string& model_path,
+               ModelStore store, std::shared_ptr<const CsrMatrix> train);
+
   /// \brief The current model for `name`, or nullptr when absent. The
   /// returned pointer pins the model (and its mapping) until released.
   std::shared_ptr<const ServableModel> Get(const std::string& name) const;
@@ -161,6 +170,10 @@ class ModelRegistry {
   }
 
  private:
+  /// Swaps `servable` in as `name` and advances generation() by `steps`.
+  void Publish(const std::string& name,
+               std::shared_ptr<const ServableModel> servable, uint32_t steps);
+
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const ServableModel>> models_;
   std::atomic<uint64_t> generation_{1};

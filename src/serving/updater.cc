@@ -20,66 +20,101 @@ namespace ocular {
 
 namespace {
 
+// Refuses a model shape whose factor matrices ((users + items) x k
+// doubles) exceed this machine's physical memory. Checked before anything
+// is allocated or journaled: the refresh would otherwise die of
+// std::bad_alloc (an abort under ASan) after the record was journaled,
+// and every restart would replay it and die again.
+Status CheckShapeFits(uint64_t users, uint64_t items, uint32_t k) {
+  const long pages = ::sysconf(_SC_PHYS_PAGES);
+  const long page_bytes = ::sysconf(_SC_PAGE_SIZE);
+  if (pages <= 0 || page_bytes <= 0 || k == 0) return Status::OK();
+  const uint64_t physical =
+      static_cast<uint64_t>(pages) * static_cast<uint64_t>(page_bytes);
+  const uint64_t row_bytes = uint64_t{k} * sizeof(double);
+  if (users + items <= physical / row_bytes) return Status::OK();
+  return Status::InvalidArgument(
+      "update shape " + std::to_string(users) + " x " +
+      std::to_string(items) + " at k=" + std::to_string(k) +
+      " needs more factor memory than this machine's " +
+      std::to_string(physical) + " bytes");
+}
+
 // `base` ∪ the adds of every delta, shaped to cover the base, each
 // delta's dims, and every added id. Finalize sorts and deduplicates, so
 // the merge is order-insensitive and idempotent: re-merging a recovered
-// delta yields the same canonical matrix.
+// delta yields the same canonical matrix. A shape whose k-dimensional
+// factors could not fit in memory is refused before anything is built.
 Result<std::shared_ptr<const CsrMatrix>> MergeDeltas(
-    const CsrMatrix& base, std::span<const UpdateRecord> deltas) {
-  uint32_t users = base.num_rows();
-  uint32_t items = base.num_cols();
+    const CsrMatrix& base, std::span<const UpdateRecord> deltas, uint32_t k) {
+  uint64_t users = base.num_rows();
+  uint64_t items = base.num_cols();
   size_t nnz = base.nnz();
-  for (const UpdateRecord& delta : deltas) nnz += delta.adds.size();
+  for (const UpdateRecord& delta : deltas) {
+    users = std::max<uint64_t>(users, delta.num_users);
+    items = std::max<uint64_t>(items, delta.num_items);
+    nnz += delta.adds.size();
+    for (auto [u, i] : delta.adds) {
+      // The shape is max id + 1, so UINT32_MAX would wrap it to 0: the
+      // CSR rows shift or the refresh reads past the item factors.
+      if (u == UINT32_MAX || i == UINT32_MAX) {
+        return Status::InvalidArgument("add (" + std::to_string(u) + ", " +
+                                       std::to_string(i) +
+                                       ") has an id past 4294967294");
+      }
+      users = std::max<uint64_t>(users, uint64_t{u} + 1);
+      items = std::max<uint64_t>(items, uint64_t{i} + 1);
+    }
+  }
+  OCULAR_RETURN_IF_ERROR(CheckShapeFits(users, items, k));
   CooBuilder coo;
   coo.Reserve(nnz);
   for (uint32_t u = 0; u < base.num_rows(); ++u) {
     for (uint32_t i : base.Row(u)) coo.Add(u, i);
   }
   for (const UpdateRecord& delta : deltas) {
-    users = std::max(users, delta.num_users);
-    items = std::max(items, delta.num_items);
-    for (auto [u, i] : delta.adds) {
-      // The shape is max id + 1, so UINT32_MAX would wrap it to 0: the
-      // CSR rows shift or the retrain reads past the item factors.
-      if (u == UINT32_MAX || i == UINT32_MAX) {
-        return Status::InvalidArgument("add (" + std::to_string(u) + ", " +
-                                       std::to_string(i) +
-                                       ") has an id past 4294967294");
-      }
-      coo.Add(u, i);
-    }
+    for (auto [u, i] : delta.adds) coo.Add(u, i);
   }
   OCULAR_ASSIGN_OR_RETURN(auto entries,
-                          coo.Finalize(std::max(users, coo.num_rows()),
-                                       std::max(items, coo.num_cols())));
+                          coo.Finalize(static_cast<uint32_t>(users),
+                                       static_cast<uint32_t>(items)));
   return std::make_shared<const CsrMatrix>(CsrMatrix::FromCoo(entries));
 }
 
 // The durable publish of one file: `write` fills `<path>.update.tmp`,
-// which is fsynced, verify-opened (every section checksum) when `verify`,
-// and durably renamed over `path`. OK means published: the tmp is gone,
-// and a failed directory sync after the rename is only logged. Any
-// failure before the rename removes the tmp and leaves `path` untouched.
-Status PublishFile(const std::string& path, bool verify,
-                   const std::function<Status(const std::string&)>& write) {
+// which is fsynced, verify-opened into `*verified` (every section
+// checksum; factor files only — pass nullptr otherwise), and durably
+// renamed over `path`. The verified mapping follows the inode through
+// the rename, so it serves `path` without a second open. OK means
+// published: the tmp is gone, and a failed directory sync after the
+// rename is only logged. Any failure before the rename removes the tmp,
+// leaves `path` untouched and `*verified` not open.
+Status PublishFile(const std::string& path,
+                   const std::function<Status(const std::string&)>& write,
+                   ModelStore* verified) {
   const std::string tmp = path + ".update.tmp";
   Status status = write(tmp);
   if (status.ok()) status = fs::FsyncFile(tmp);
-  if (status.ok() && verify) {
-    if (auto opened = ModelStore::Open(tmp); !opened.ok()) {
+  if (status.ok() && verified != nullptr) {
+    if (auto opened = ModelStore::Open(tmp); opened.ok()) {
+      *verified = std::move(opened).value();
+    } else {
       status = Status::IOError(tmp + " failed verification: " +
                                opened.status().ToString());
     }
   }
   if (status.ok()) {
     status = fs::DurableRename(tmp, path);
-    if (status.ok()) return status;
-    if (::access(tmp.c_str(), F_OK) != 0) {
-      std::fprintf(stderr, "published %s but directory sync failed: %s\n",
-                   path.c_str(), status.ToString().c_str());
+    if (status.ok() || ::access(tmp.c_str(), F_OK) != 0) {
+      if (!status.ok()) {
+        std::fprintf(stderr, "published %s but directory sync failed: %s\n",
+                     path.c_str(), status.ToString().c_str());
+      }
+      if (verified != nullptr) verified->set_path(path);
       return Status::OK();
     }
   }
+  if (verified != nullptr) *verified = ModelStore();
   ::remove(tmp.c_str());
   return status;
 }
@@ -126,7 +161,7 @@ Result<UpdateOutcome> Updater::ApplySharded(const ServableModel& model,
   delta.num_items = model.num_items();
   delta.adds = adds;
   OCULAR_ASSIGN_OR_RETURN(auto merged,
-                          MergeDeltas(*model.train, {&delta, 1}));
+                          MergeDeltas(*model.train, {&delta, 1}, model.k()));
 
   std::vector<uint32_t> touched_users;
   touched_users.reserve(adds.size());
@@ -164,10 +199,13 @@ Result<UpdateOutcome> Updater::ApplySharded(const ServableModel& model,
 
     const std::string shard_path =
         ShardSetResolve(model.model_path, manifest.shards[s].file);
+    ModelStore verified;
     OCULAR_RETURN_IF_ERROR(PublishFile(
-        shard_path, /*verify=*/true, [&](const std::string& tmp) {
+        shard_path,
+        [&](const std::string& tmp) {
           return SaveShardUserFactors(model.meta(), block, tmp);
-        }));
+        },
+        &verified));
     OCULAR_ASSIGN_OR_RETURN(manifest.shards[s].fingerprint,
                             fs::FileFingerprint(shard_path));
     ++shards_touched;
@@ -177,9 +215,11 @@ Result<UpdateOutcome> Updater::ApplySharded(const ServableModel& model,
   // one, never a mix.
   if (shards_touched > 0) {
     OCULAR_RETURN_IF_ERROR(PublishFile(
-        model.model_path, /*verify=*/false, [&](const std::string& tmp) {
+        model.model_path,
+        [&](const std::string& tmp) {
           return SaveShardSetManifest(manifest, tmp);
-        }));
+        },
+        nullptr));
   }
 
   // The per-shard generation swap: Load aliases every untouched member
@@ -196,14 +236,14 @@ Result<UpdateOutcome> Updater::ApplySharded(const ServableModel& model,
       .users_refreshed = static_cast<uint32_t>(touched_users.size())};
 }
 
-Result<UpdateOutcome> Updater::RetrainAndPublish(
+Result<UpdateOutcome> Updater::RefreshAndPublish(
     const ServableModel& model, const std::string& model_name,
-    const std::shared_ptr<const CsrMatrix>& updated_train, uint32_t sweeps,
-    uint64_t seed, bool* published) {
+    const std::shared_ptr<const CsrMatrix>& updated_train, const Adds& adds,
+    uint32_t sweeps, uint64_t seed, bool* published) {
   *published = false;
   // Copy-on-write: the live mapping is never touched — the update
-  // materializes a private copy, retrains it, and publishes the result as
-  // a new generation.
+  // materializes one private copy, refreshes it in place, and publishes
+  // the result as a new generation.
   if (fault::Maybe("update.apply")) return fault::InjectedError("update.apply");
   OCULAR_ASSIGN_OR_RETURN(LoadedModel loaded, model.store.MaterializeOcular());
 
@@ -211,28 +251,31 @@ Result<UpdateOutcome> Updater::RetrainAndPublish(
   config.max_sweeps = sweeps;
   ExpandOptions expand;
   expand.seed = seed;  // 0 = shape-derived stream (see ExpandOptions)
-  OCULAR_ASSIGN_OR_RETURN(
-      OcularFitResult fit,
-      UpdateModel(loaded.model, *updated_train, config, expand));
+  OCULAR_RETURN_IF_ERROR(
+      RefreshModel(&loaded.model, *updated_train, adds, config, expand)
+          .status());
 
   // A crash mid-write can never leave a torn model file behind the
   // running mapping, and a crash right after the ack can never lose the
   // renamed artifact to unflushed page cache.
+  ModelStore verified;
   OCULAR_RETURN_IF_ERROR(PublishFile(
-      model.model_path, /*verify=*/true, [&](const std::string& tmp) {
-        return SaveModelBinary(fit.model, config, tmp);
-      }));
+      model.model_path,
+      [&](const std::string& tmp) {
+        return SaveModelBinary(loaded.model, config, tmp);
+      },
+      &verified));
   *published = true;
-  // The same generation swap as SIGHUP reload: in-flight requests drain
-  // on their leased mapping, workers re-resolve lock-free.
-  OCULAR_RETURN_IF_ERROR(
-      registry_->Load(model_name, model.model_path, updated_train));
+  // The same generation swap as SIGHUP reload, on the mapping PublishFile
+  // verified: in-flight requests drain on their leased mapping, workers
+  // re-resolve lock-free.
+  OCULAR_RETURN_IF_ERROR(registry_->Adopt(model_name, model.model_path,
+                                          std::move(verified), updated_train));
   updates_.fetch_add(1, std::memory_order_relaxed);
 
   return UpdateOutcome{.num_users = updated_train->num_rows(),
                        .num_items = updated_train->num_cols(),
-                       .sweeps_run = fit.sweeps_run,
-                       .converged = fit.converged};
+                       .sweeps_run = sweeps};
 }
 
 Result<UpdateOutcome> Updater::Apply(const std::string& model_name,
@@ -256,7 +299,7 @@ Result<UpdateOutcome> Updater::Apply(const std::string& model_name,
     return ApplySharded(*model, model_name, adds, num_users, num_items);
   }
 
-  // Write-ahead: the full replay recipe is durable before the retrain
+  // Write-ahead: the full replay recipe is durable before the refresh
   // starts, so a crash anywhere past this point can be recovered to the
   // exact artifact this call would have published (RecoverJournal). An
   // append failure fails the update — the client's ack must never be
@@ -268,7 +311,7 @@ Result<UpdateOutcome> Updater::Apply(const std::string& model_name,
   record.sweeps = sweeps;
   record.adds = adds;
   OCULAR_ASSIGN_OR_RETURN(auto updated_train,
-                          MergeDeltas(*model->train, {&record, 1}));
+                          MergeDeltas(*model->train, {&record, 1}, model->k()));
   record.num_users = updated_train->num_rows();
   record.num_items = updated_train->num_cols();
   OCULAR_ASSIGN_OR_RETURN(record.base_fingerprint,
@@ -279,8 +322,8 @@ Result<UpdateOutcome> Updater::Apply(const std::string& model_name,
   OCULAR_RETURN_IF_ERROR(journal.AppendUpdate(record));
 
   bool published = false;
-  Result<UpdateOutcome> outcome = RetrainAndPublish(
-      *model, model_name, updated_train, sweeps, seed, &published);
+  Result<UpdateOutcome> outcome = RefreshAndPublish(
+      *model, model_name, updated_train, adds, sweeps, seed, &published);
   // The journal's verdict follows the artifact, not the reply: a failure
   // AFTER the rename still commits (clients will observe the new
   // artifact), a clean failure before it aborts so recovery never replays
@@ -318,7 +361,7 @@ Result<JournalRecoveryStats> Updater::RecoverJournal(
 
   // A trailing record with no commit/abort is the crash window. The
   // artifact fingerprint decides which side of the rename the crash hit:
-  // still equal to the record's base means the retrain never published —
+  // still equal to the record's base means the refresh never published —
   // replay it; moved past it means the rename landed and only the commit
   // record is missing — the adds are law, heal the journal.
   bool replay_pending = false;
@@ -336,10 +379,10 @@ Result<JournalRecoveryStats> Updater::RecoverJournal(
   // Re-merge every applied record's deltas into the training base: the
   // --datasets CSV is the original snapshot and knows nothing about
   // updates applied by previous incarnations. A replayed record merges on
-  // top of them, which is the matrix the crashed process was retraining.
+  // top of them, which is the matrix the crashed process was refreshing.
   if (plan.has_pending) plan.applied.push_back(plan.pending);
-  OCULAR_ASSIGN_OR_RETURN(auto merged,
-                          MergeDeltas(*model->train, plan.applied));
+  OCULAR_ASSIGN_OR_RETURN(
+      auto merged, MergeDeltas(*model->train, plan.applied, model->k()));
 
   if (replay_pending) {
     // Run the exact pipeline the crashed process was running — same adds,
@@ -347,8 +390,8 @@ Result<JournalRecoveryStats> Updater::RecoverJournal(
     // recovered generation is bit-identical to what the lost ack promised.
     bool published = false;
     Result<UpdateOutcome> outcome =
-        RetrainAndPublish(*model, model_name, merged, plan.pending.sweeps,
-                          plan.pending.seed, &published);
+        RefreshAndPublish(*model, model_name, merged, plan.pending.adds,
+                          plan.pending.sweeps, plan.pending.seed, &published);
     if (!outcome.ok() && !published) {
       // Leave the record pending: the next start retries the replay. The
       // caller decides whether to serve without the promised update.

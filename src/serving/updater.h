@@ -19,8 +19,8 @@ namespace ocular {
 struct UpdateOutcome {
   uint32_t num_users = 0;   ///< users of the published model
   uint32_t num_items = 0;   ///< items of the published model
-  uint32_t sweeps_run = 0;  ///< retrain sweeps (0 for a sharded refresh)
-  bool converged = false;   ///< retrain converged (sharded: always)
+  uint32_t sweeps_run = 0;  ///< refresh rounds (0 for a sharded refresh)
+  bool converged = false;   ///< sharded: always; monolithic: never tested
   bool sharded = false;     ///< a shardset refreshed by fold-in
   uint32_t shards_touched = 0;   ///< sharded: shard files republished
   uint32_t users_refreshed = 0;  ///< sharded: users folded in afresh
@@ -42,15 +42,20 @@ struct JournalRecoveryStats {
 
 /// \brief The update pipeline behind the daemon's `update` verb, and the
 /// startup journal recovery that makes every acknowledged update survive
-/// a crash. A monolithic `.oclr` store gets a journaled warm-start
-/// retrain (core/incremental.h) that may grow the catalog; a `.shardset`
-/// gets a fold-in refresh of the touched users against its fixed item
-/// factors, rewriting only their shards, with no growth and no journal.
+/// a crash. A monolithic `.oclr` store gets a journaled local refresh
+/// (RefreshModel in core/incremental.h) that may grow the catalog: one
+/// private copy of the factors, `sweeps` rounds of block updates on the
+/// touched items and then the touched users, every other row unchanged.
+/// A `.shardset` gets a fold-in refresh of the touched users against its
+/// fixed item factors, rewriting only their shards, with no growth and
+/// no journal.
 ///
 /// Every file either path writes (artifact, shard file, manifest) is
 /// published the same way: write `<file>.update.tmp`, fsync, verify-open
 /// (factor files), rename, fsync the directory. A directory-sync failure
 /// after the rename counts as published: readers already see the file.
+/// The monolithic artifact's verified mapping becomes the new registry
+/// generation as is (ModelRegistry::Adopt), so it is verified once.
 /// Updates and recovery serialize on one mutex that readers never take;
 /// the result is swapped in as a new registry generation. Thread-safe.
 class Updater {
@@ -61,9 +66,11 @@ class Updater {
 
   /// \brief Applies `adds` ([user, item] pairs) to model `model_name` and
   /// publishes the result. A monolithic model grows to at least
-  /// `num_users` x `num_items` and to cover every id, and retrains for
-  /// `sweeps` with expansion `seed` (0 = shape-derived). Requires a bound
-  /// dataset; an id of UINT32_MAX is refused before anything is journaled.
+  /// `num_users` x `num_items` and to cover every id, and refreshes its
+  /// touched rows for `sweeps` rounds with expansion `seed` (0 =
+  /// shape-derived). Requires a bound dataset. An id of UINT32_MAX, or a
+  /// shape whose factors exceed physical memory, is refused before
+  /// anything is allocated or journaled.
   Result<UpdateOutcome> Apply(
       const std::string& model_name,
       const std::vector<std::pair<uint32_t, uint32_t>>& adds,
@@ -96,10 +103,10 @@ class Updater {
                                      const std::string& model_name,
                                      const Adds& adds, uint32_t num_users,
                                      uint32_t num_items);
-  Result<UpdateOutcome> RetrainAndPublish(
+  Result<UpdateOutcome> RefreshAndPublish(
       const ServableModel& model, const std::string& model_name,
-      const std::shared_ptr<const CsrMatrix>& updated_train, uint32_t sweeps,
-      uint64_t seed, bool* published);
+      const std::shared_ptr<const CsrMatrix>& updated_train, const Adds& adds,
+      uint32_t sweeps, uint64_t seed, bool* published);
 
   ModelRegistry* registry_;
   FoldInOptions fold_in_;

@@ -47,6 +47,13 @@ class DenseMatrix {
   /// Fills with iid Uniform(lo, hi) draws.
   void FillUniform(Rng* rng, double lo, double hi);
 
+  /// Grows or shrinks to `rows` rows in place, keeping the leading rows;
+  /// appended rows are zero.
+  void ResizeRows(uint32_t rows) {
+    data_.resize(static_cast<size_t>(rows) * cols_, 0.0);
+    rows_ = rows;
+  }
+
   /// Column sums (length cols()). This is the Σ_u f_u precomputation of
   /// Section IV-D.
   std::vector<double> ColumnSums() const;

@@ -137,9 +137,10 @@ std::vector<std::vector<ScoredItem>> Oracle(const OcularModel& model,
 }
 
 /// Replays the daemon's update pipeline offline from the artifact at
-/// `model_path`: materialize, merge `adds` into `train`, warm-start
-/// retrain. Also returns the config the daemon would persist with, so the
-/// caller can save an artifact byte-identical to the daemon's.
+/// `model_path`: materialize, merge `adds` into `train`, refresh the
+/// touched rows (RefreshModel). Also returns the config the daemon would
+/// persist with, so the caller can save an artifact byte-identical to the
+/// daemon's.
 struct OfflineUpdate {
   OcularModel model;
   CsrMatrix train;
@@ -164,9 +165,10 @@ OfflineUpdate ReplayUpdate(
   CsrMatrix merged = CsrMatrix::FromCoo(coo.Finalize(users, items).value());
   OcularConfig config = loaded->config;
   config.max_sweeps = sweeps;
-  auto fit = UpdateModel(loaded->model, merged, config, ExpandOptions{});
-  EXPECT_TRUE(fit.ok()) << fit.status().ToString();
-  return {std::move(fit->model), std::move(merged), config};
+  auto refreshed =
+      RefreshModel(&loaded->model, merged, adds, config, ExpandOptions{});
+  EXPECT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  return {std::move(loaded->model), std::move(merged), config};
 }
 
 /// Arms-then-disarms around a test body; a test can never leak an armed
@@ -703,6 +705,46 @@ TEST(JournalRecoveryTest, PoisonedPendingRecordFailsRecoveryInsteadOfCrashing) {
     ASSERT_FALSE(recovered.ok());
     EXPECT_NE(recovered.status().ToString().find("4294967295"),
               std::string::npos)
+        << recovered.status().ToString();
+    // Nothing was published and the record stays for the operator.
+    EXPECT_EQ(ReadFileBytes(f.model_path), artifact_bytes);
+    EXPECT_EQ(server.Stats().journal_replays, 0u);
+    auto plan = UpdateJournal::LoadPlan(UpdateJournal::PathFor(f.model_path));
+    ASSERT_TRUE(plan.ok());
+    EXPECT_TRUE(plan->has_pending);
+    f.Cleanup();
+  }
+}
+
+TEST(JournalRecoveryTest, OversizedPendingShapeFailsRecoveryInsteadOfAborting) {
+  // A pending record whose shape needs more factor memory than the
+  // machine has must make recovery refuse before allocating: replaying
+  // it would throw std::bad_alloc (abort under ASan) on every restart.
+  struct Oversized {
+    std::vector<std::pair<uint32_t, uint32_t>> adds;
+    uint32_t items;
+  };
+  const Oversized kOversized[] = {{{{1, 2}}, 4000000000u},
+                                  {{{1, 4294967294u}}, 30}};
+  for (const Oversized& record : kOversized) {
+    DaemonFixture f = DaemonFixture::Make("fault_oversized.oclr");
+    auto fingerprint = fs::FileFingerprint(f.model_path);
+    ASSERT_TRUE(fingerprint.ok());
+    UpdateJournal journal;
+    ASSERT_TRUE(journal.Open(UpdateJournal::PathFor(f.model_path)).ok());
+    ASSERT_TRUE(journal
+                    .AppendUpdate(MakeRecord(*fingerprint, record.adds, 50,
+                                             record.items))
+                    .ok());
+    journal.Close();
+    const std::string artifact_bytes = ReadFileBytes(f.model_path);
+
+    ModelRegistry registry;
+    ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
+    RequestServer server(&registry);
+    auto recovered = server.updater().RecoverJournal("default");
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_NE(recovered.status().ToString().find("memory"), std::string::npos)
         << recovered.status().ToString();
     // Nothing was published and the record stays for the operator.
     EXPECT_EQ(ReadFileBytes(f.model_path), artifact_bytes);

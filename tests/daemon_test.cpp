@@ -926,6 +926,11 @@ TEST(FoldInServingTest, MalformedHistoryAndUpdateRequestsAnswerErrors) {
            // ids whose +1 overflows the shape: refused before the journal
            std::string(R"({"cmd":"update","adds":[[3,4294967295]]})"),
            std::string(R"({"cmd":"update","adds":[[4294967295,0]]})"),
+           // shapes whose factors outgrow physical memory: refused before
+           // anything is allocated or journaled
+           std::string(R"({"cmd":"update","adds":[[1,2]],)"
+                       R"("num_items":4000000000,"sweeps":1})"),
+           std::string(R"({"cmd":"update","adds":[[1,4294967294]]})"),
        }) {
     auto err = JsonValue::Parse(server.HandleLine(bad));
     ASSERT_TRUE(err.ok()) << bad;
@@ -944,9 +949,9 @@ TEST(FoldInServingTest, MalformedHistoryAndUpdateRequestsAnswerErrors) {
 }
 
 /// Replays the daemon's update pipeline offline: materialize the binary
-/// artifact, merge the training matrix with `adds`, warm-start retrain
-/// with `sweeps`. Returns the updated fit and the merged matrix — the
-/// oracle an in-daemon `update` must match bit-for-bit.
+/// artifact, merge the training matrix with `adds`, refresh the touched
+/// rows for `sweeps` rounds. Returns the refreshed model and the merged
+/// matrix — the oracle an in-daemon `update` must match bit-for-bit.
 struct OfflineUpdate {
   OcularModel model;
   CsrMatrix train;
@@ -972,9 +977,10 @@ OfflineUpdate ReplayUpdate(
       CsrMatrix::FromCoo(coo.Finalize(users, items).value());
   OcularConfig config = loaded->config;
   config.max_sweeps = sweeps;
-  auto fit = UpdateModel(loaded->model, merged, config, ExpandOptions{});
-  EXPECT_TRUE(fit.ok()) << fit.status().ToString();
-  return {std::move(fit->model), std::move(merged)};
+  auto refreshed =
+      RefreshModel(&loaded->model, merged, adds, config, ExpandOptions{});
+  EXPECT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  return {std::move(loaded->model), std::move(merged)};
 }
 
 TEST(FoldInServingTest, UpdateVerbPublishesANewGenerationServingNewUsers) {

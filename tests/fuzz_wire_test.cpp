@@ -59,6 +59,8 @@ const std::vector<std::string>& Corpus() {
       R"({"cmd":"recommend","history":[5,1,5,9],"m":6})",
       R"({"cmd":"update","adds":[[12,3],[99,7]],"sweeps":2})",
       R"({"cmd":"update","adds":[[0,0]],"num_users":64,"num_items":64})",
+      R"({"cmd":"update","adds":[[1,2]],"num_items":4000000000,"sweeps":1})",
+      R"({"cmd":"update","adds":[[1,4294967294]]})",
       R"({"cmd":"models"})",
       R"({"cmd":"stats"})",
       R"({"user":1e9,"m":-3})",

@@ -20,9 +20,10 @@
 //   --max-outbound-bytes=N               per-connection reply backlog a
 //                                        slow consumer may hold before
 //                                        disconnect (8 MiB)
-//   --update-sweeps=N                    default trainer sweeps an `update`
-//                                        request runs when it does not set
-//                                        its own "sweeps" (5)
+//   --update-sweeps=N                    default refresh rounds over the
+//                                        touched rows an `update` request
+//                                        runs when it does not set its own
+//                                        "sweeps" (5)
 //   --max-request-bytes=N                longest request line before a
 //                                        413-style reply + close (1 MiB)
 //   --io-timeout-ms=N                    IO-loop deadline sweep tick and
